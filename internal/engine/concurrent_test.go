@@ -2,13 +2,19 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/gql"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/opt"
+	"pathalgebra/internal/pathset"
+	"pathalgebra/internal/reach"
 )
 
 // TestEngineConcurrentUse hammers ONE engine from many goroutines with a
@@ -117,5 +123,106 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 	if st.PlanCacheHits == 0 {
 		t.Error("PlanCacheHits = 0, want > 0 under the hammer")
+	}
+}
+
+// TestEngineWithLimitsConcurrent runs ONE live engine from many
+// goroutines, each call through a WithLimits view under one of several
+// limits, and checks under -race that every Run, RunStream and Reach
+// answer is identical — same paths, same order, same typed error — to a
+// fresh engine built for those limits alone. Views share the plan cache,
+// so this also proves plans never leak across limits.
+func TestEngineWithLimitsConcurrent(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{
+		Persons: 20, Messages: 30, KnowsPerPerson: 2, LikesPerPerson: 2,
+		CycleFraction: 0.3, Seed: 5,
+	})
+	limits := []core.Limits{
+		{MaxLen: 1},
+		{MaxLen: 2},
+		{MaxLen: 3},
+		{MaxLen: 4},
+		{MaxLen: 3, MaxWork: 1 << 20},
+		{MaxLen: 4, MaxPaths: 40}, // budget-exceeded for the larger queries
+	}
+	queries := []string{
+		`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`,
+		`MATCH ACYCLIC p = (?x:Person)-[(:Knows|:Likes)+]->(?y)`,
+		`MATCH ANY SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y)`,
+		`MATCH WALK p = (?x)-[:Knows+]->(?y:Person)`,
+	}
+	type answer struct {
+		set      *pathset.Set
+		err      error
+		pairs    []reach.Pair
+		reachErr error
+	}
+	want := make([][]answer, len(limits))
+	for li, lim := range limits {
+		ref := New(g, Options{Limits: lim, Parallelism: 1})
+		for _, q := range queries {
+			plan := gql.MustCompile(q)
+			set, err := ref.Run(plan)
+			a := answer{set: set, err: err}
+			if rr, rerr := ref.Reach(plan, opt.ReachPairs); rerr != nil {
+				a.reachErr = rerr
+			} else {
+				a.pairs = rr.Pairs
+			}
+			want[li] = append(want[li], a)
+		}
+	}
+	sameErr := func(a, b error) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return errors.Is(a, core.ErrBudgetExceeded) == errors.Is(b, core.ErrBudgetExceeded)
+	}
+
+	shared := NewWithStore(graph.NewStore(g, graph.StoreOptions{CompactThreshold: -1}), Options{Parallelism: 2})
+	const workers = 8
+	const iters = 18
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*iters)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				li, qi := (w+i)%len(limits), (w*7+i)%len(queries)
+				view := shared.WithLimits(limits[li])
+				plan := gql.MustCompile(queries[qi])
+				exp := want[li][qi]
+				tag := fmt.Sprintf("worker %d limits %+v query %d", w, limits[li], qi)
+				switch i % 3 {
+				case 0:
+					got, err := view.Run(plan)
+					if !sameErr(err, exp.err) || (err == nil && !sameSequence(got, exp.set)) {
+						errs <- fmt.Errorf("%s Run: differs from a private engine (err %v, want %v)", tag, err, exp.err)
+					}
+				case 1:
+					s := view.RunStream(context.Background(), plan, StreamOptions{ChunkSize: 7})
+					got, err := s.Result()
+					s.Close()
+					if !sameErr(err, exp.err) || (err == nil && !sameSequence(got, exp.set)) {
+						errs <- fmt.Errorf("%s RunStream: differs from a private engine (err %v, want %v)", tag, err, exp.err)
+					}
+				case 2:
+					rr, err := view.Reach(plan, opt.ReachPairs)
+					if !sameErr(err, exp.reachErr) || (err == nil && !slices.Equal(rr.Pairs, exp.pairs)) {
+						errs <- fmt.Errorf("%s Reach: differs from a private engine (err %v, want %v)", tag, err, exp.reachErr)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// One set of counters: every view's plan calls land on the base.
+	if st := shared.Stats(); st.PlanCacheHits+st.PlanCacheMisses != workers*iters {
+		t.Errorf("plan calls counted = %d, want %d", st.PlanCacheHits+st.PlanCacheMisses, workers*iters)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
+	"pathalgebra/internal/lru"
 	"pathalgebra/internal/obs"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/path"
@@ -83,20 +84,10 @@ type Options struct {
 	// the baseline of the differential harness and ablation benchmarks.
 	// The plan cache stays on either way.
 	DisablePlanner bool
-	// PlanCacheSize bounds the engine's LRU plan cache (number of
-	// plans); <= 0 selects defaultPlanCacheSize.
-	PlanCacheSize int
 }
 
-// defaultPlanCacheSize is the plan-cache capacity when unset.
+// defaultPlanCacheSize is the plan-cache capacity (number of plans).
 const defaultPlanCacheSize = 64
-
-func (o Options) planCacheSize() int {
-	if o.PlanCacheSize <= 0 {
-		return defaultPlanCacheSize
-	}
-	return o.PlanCacheSize
-}
 
 // parallelism resolves the configured worker count.
 func (o Options) parallelism() int {
@@ -106,13 +97,11 @@ func (o Options) parallelism() int {
 	return o.Parallelism
 }
 
-// Stats accumulates execution counters across one engine's evaluations.
-// The engine updates the underlying counters with atomic adds — today all
-// writes happen on the evaluating goroutine (parallel operators report
-// through their return values, and the hash-join probe count is batched on
-// the caller), so the atomics are a guardrail for future operators that
-// do account from workers. Stats values returned by Engine.Stats are
-// plain snapshots.
+// Stats accumulates execution counters across one engine's evaluations,
+// including those of every WithLimits view and pinned copy of it (they
+// share the counters by pointer). Concurrent calls on one engine and its
+// views update the counters with atomic adds; Stats values returned by
+// Engine.Stats are plain snapshots.
 type Stats struct {
 	// PathsProduced counts paths emitted by all operators.
 	PathsProduced int64
@@ -153,9 +142,10 @@ type Stats struct {
 	// fallback in fingerprint-bucketed path sets during this engine's
 	// evaluations — both materialized sets (pathset.Collisions) and the
 	// product search's arena-resident visited sets (path.ArenaCollisions).
-	// It is measured as the process-wide counter delta, so concurrent
-	// engines see each other's collisions. Nonzero values are harmless —
-	// the fallback preserves exactness — but should be vanishingly rare.
+	// It is measured as the process-wide counter delta, so separately
+	// constructed engines see each other's collisions (views of one
+	// engine share its baseline). Nonzero values are harmless — the
+	// fallback preserves exactness — but should be vanishingly rare.
 	FingerprintCollisions int64
 }
 
@@ -195,9 +185,9 @@ type Engine struct {
 	// cm is the cost model over the pinned epoch's statistics; it drives
 	// Plan (unless DisablePlanner) and the -explain estimates.
 	cm *opt.CostModel
-	// plans is the LRU plan cache consulted by Plan, keyed by
-	// (epoch, plan); shared across bound copies.
-	plans *planCache
+	// plans is the LRU plan cache consulted by Plan; shared across bound
+	// copies and views.
+	plans *lru.Cache[planKey, planEntry]
 }
 
 // New returns a static engine over g with the given options.
@@ -208,7 +198,7 @@ func New(g *graph.Graph, opts Options) *Engine {
 		stats:         &Stats{},
 		collisionBase: fingerprintCollisions(),
 		cm:            &opt.CostModel{Stats: g.Stats(), Limits: opts.Limits},
-		plans:         newPlanCache(opts.planCacheSize()),
+		plans:         newPlanCache(defaultPlanCacheSize),
 	}
 }
 
@@ -221,6 +211,24 @@ func NewWithStore(s *graph.Store, opts Options) *Engine {
 	e := New(s.Graph(), opts)
 	e.store = s
 	return e
+}
+
+// WithLimits returns a view of e that evaluates under lim: a shallow
+// copy with the same graph (or store), options, stats counters and plan
+// cache, differing only in its limits and the cost model that reads
+// them. Views are cheap — one per request is the intended use — and
+// account into e's counters, so a server running every request through
+// a view of one base engine reports one set of engine stats. A view of
+// a live engine still pins an epoch per call. Plans cached under
+// different limits never alias: the plan-cache key carries the limits.
+func (e *Engine) WithLimits(lim core.Limits) *Engine {
+	if lim == e.opts.Limits {
+		return e
+	}
+	v := *e
+	v.opts.Limits = lim
+	v.cm = &opt.CostModel{Stats: e.cm.Stats, Limits: lim}
+	return &v
 }
 
 // releaseNoop is the free release returned by pin on static engines.
@@ -252,23 +260,24 @@ func (e *Engine) CostModel() *opt.CostModel { return e.cm }
 // Plan turns a logical plan into the physical plan the engine will
 // evaluate, consulting the LRU plan cache first. Cache misses run the
 // cost-based planner (opt.Plan) — or the statistics-free opt.Optimize
-// when DisablePlanner is set — and memoize the result under the
-// normalized fingerprint of the input plan's canonical rendering.
+// when DisablePlanner is set — and memoize the result under the input
+// plan's canonical rendering, the epoch and the limits (planKey).
 func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 	b, release := e.pin()
 	defer release()
-	return b.plan(x)
+	plan, applied, _ := b.plan(x)
+	return plan, applied
 }
 
-// plan is Plan on an already-bound engine: the cache key includes the
-// pinned epoch, so plans costed against one epoch's statistics are never
-// replayed against another's.
-func (e *Engine) plan(x core.PathExpr) (core.PathExpr, []string) {
-	key := x.String()
-	fp := planFingerprint(key)
-	if plan, applied, ok := e.plans.get(e.epoch, fp, key); ok {
+// plan is Plan on an already-bound engine, also reporting whether the
+// plan came out of the cache. The cache key includes the pinned epoch
+// and the limits, so a plan costed against one epoch's statistics or one
+// set of limits is never replayed under another's.
+func (e *Engine) plan(x core.PathExpr) (core.PathExpr, []string, bool) {
+	key := planKey{epoch: e.epoch, lim: e.opts.Limits, text: x.String()}
+	if ent, ok := e.plans.Get(key); ok {
 		addStat(&e.stats.PlanCacheHits, 1)
-		return plan, applied
+		return ent.plan, ent.applied, true
 	}
 	addStat(&e.stats.PlanCacheMisses, 1)
 	var res opt.Result
@@ -277,8 +286,8 @@ func (e *Engine) plan(x core.PathExpr) (core.PathExpr, []string) {
 	} else {
 		res = opt.Plan(x, e.cm)
 	}
-	e.plans.put(e.epoch, fp, key, res.Plan, res.Applied)
-	return res.Plan, res.Applied
+	e.plans.Put(key, planEntry{plan: res.Plan, applied: res.Applied})
+	return res.Plan, res.Applied, false
 }
 
 // Run plans x (through the cache) and evaluates the chosen plan.
@@ -295,7 +304,7 @@ func (e *Engine) Run(x core.PathExpr) (*pathset.Set, error) {
 func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
 	b, release := e.pin()
 	defer release()
-	plan, _ := b.planTraced(ctx, x)
+	plan := b.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
@@ -307,25 +316,19 @@ func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, err
 	return out, err
 }
 
-// planTraced is plan wrapped in a "plan" trace span annotated with
-// cache behavior, detected as the explain path does: by the
-// PlanCacheHits delta (shared stats make this approximate under
-// concurrent evaluations, which tracing tolerates).
-func (e *Engine) planTraced(ctx context.Context, x core.PathExpr) (core.PathExpr, []string) {
+// planTraced is plan wrapped in a "plan" trace span annotated with the
+// cache outcome and the pinned epoch.
+func (e *Engine) planTraced(ctx context.Context, x core.PathExpr) core.PathExpr {
 	sp := obs.SpanFrom(ctx).Start("plan")
 	defer sp.End()
-	if sp == nil {
-		return e.plan(x)
+	plan, _, hit := e.plan(x)
+	var h int64
+	if hit {
+		h = 1
 	}
-	before := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	plan, applied := e.plan(x)
-	var hit int64
-	if atomic.LoadInt64(&e.stats.PlanCacheHits) > before {
-		hit = 1
-	}
-	sp.SetInt("cache_hit", hit)
+	sp.SetInt("cache_hit", h)
 	sp.SetInt("epoch", int64(e.epoch))
-	return plan, applied
+	return plan
 }
 
 // noteEvalErr accounts a finished evaluation's error into the stats —
@@ -444,7 +447,7 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 		if err != nil {
 			return nil, err
 		}
-		return e.join(l, r), nil
+		return e.join(l, r)
 	case core.Union:
 		l, err := e.evalPathsCtx(ctx, x.L)
 		if err != nil {
@@ -759,16 +762,19 @@ func labelPattern(x core.PathExpr) (rpq.Expr, bool) {
 }
 
 // join dispatches on the configured strategy.
-func (e *Engine) join(l, r *pathset.Set) *pathset.Set {
+func (e *Engine) join(l, r *pathset.Set) (*pathset.Set, error) {
 	var out *pathset.Set
 	switch e.opts.Join {
 	case NestedLoop:
 		out = e.nestedLoopJoin(l, r)
 	default:
-		out = e.hashJoin(l, r)
+		var err error
+		if out, err = e.hashJoin(l, r); err != nil {
+			return nil, err
+		}
 	}
 	addStat(&e.stats.PathsProduced, int64(out.Len()))
-	return out
+	return out, nil
 }
 
 func (e *Engine) nestedLoopJoin(l, r *pathset.Set) *pathset.Set {
@@ -794,9 +800,12 @@ func (e *Engine) nestedLoopJoin(l, r *pathset.Set) *pathset.Set {
 // and merged in chunk order, which keeps every bucket's positions
 // ascending — the probe phase (and therefore the output order) is
 // identical to the sequential build.
-func (e *Engine) hashJoin(l, r *pathset.Set) *pathset.Set {
+func (e *Engine) hashJoin(l, r *pathset.Set) (*pathset.Set, error) {
 	rp := r.Paths()
-	byFirst := e.buildJoinIndex(rp)
+	byFirst, err := e.buildJoinIndex(rp)
+	if err != nil {
+		return nil, err
+	}
 	out := pathset.New(l.Len())
 	probes := int64(0)
 	for _, p := range l.Paths() {
@@ -806,7 +815,7 @@ func (e *Engine) hashJoin(l, r *pathset.Set) *pathset.Set {
 		}
 	}
 	addStat(&e.stats.JoinProbes, probes)
-	return out
+	return out, nil
 }
 
 // parallelBuildThreshold is the build-side size under which the hash-join
@@ -814,14 +823,18 @@ func (e *Engine) hashJoin(l, r *pathset.Set) *pathset.Set {
 // map inserts being parallelized.
 const parallelBuildThreshold = 2048
 
-func (e *Engine) buildJoinIndex(rp []path.Path) map[graph.NodeID][]int32 {
+// buildJoinIndex maps each node to the ascending positions of the paths
+// in rp that start there. A panic in a build worker is recovered into a
+// *core.PanicError (the lowest-chunk one wins) instead of killing the
+// process.
+func (e *Engine) buildJoinIndex(rp []path.Path) (map[graph.NodeID][]int32, error) {
 	workers := e.opts.parallelism()
 	if len(rp) < parallelBuildThreshold || workers <= 1 {
 		byFirst := make(map[graph.NodeID][]int32, len(rp))
 		for i, q := range rp {
 			byFirst[q.First()] = append(byFirst[q.First()], int32(i))
 		}
-		return byFirst
+		return byFirst, nil
 	}
 	if workers > len(rp) {
 		workers = len(rp)
@@ -829,6 +842,7 @@ func (e *Engine) buildJoinIndex(rp []path.Path) map[graph.NodeID][]int32 {
 	// Each worker indexes one contiguous chunk; chunks are merged in chunk
 	// order so per-node position lists stay ascending.
 	chunkMaps := make([]map[graph.NodeID][]int32, workers)
+	errs := make([]error, workers)
 	chunk := (len(rp) + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -840,6 +854,7 @@ func (e *Engine) buildJoinIndex(rp []path.Path) map[graph.NodeID][]int32 {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
+			defer func() { errs[w] = core.Recovered(recover()) }()
 			m := make(map[graph.NodeID][]int32, hi-lo)
 			for i := lo; i < hi; i++ {
 				m[rp[i].First()] = append(m[rp[i].First()], int32(i))
@@ -848,11 +863,16 @@ func (e *Engine) buildJoinIndex(rp []path.Path) map[graph.NodeID][]int32 {
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	byFirst := chunkMaps[0]
 	for _, m := range chunkMaps[1:] {
 		for n, positions := range m {
 			byFirst[n] = append(byFirst[n], positions...)
 		}
 	}
-	return byFirst
+	return byFirst, nil
 }

@@ -389,3 +389,25 @@ func TestFingerprintCollisionStat(t *testing.T) {
 		t.Errorf("FingerprintCollisions = %d after ResetStats, want 0", got)
 	}
 }
+
+// TestJoinIndexWorkerPanic: a panic inside a parallel hash-join build
+// worker comes back as a typed core.ErrInternal with a stack instead of
+// killing the process.
+func TestJoinIndexWorkerPanic(t *testing.T) {
+	e := New(ldbc.Figure1(), Options{Parallelism: 4})
+	rp := make([]path.Path, parallelBuildThreshold)
+	for i := range rp {
+		rp[i] = path.FromNode(0)
+	}
+	rp[len(rp)-1] = path.Path{} // First() of an empty path panics
+	_, err := e.buildJoinIndex(rp)
+	var pe *core.PanicError
+	if !errors.Is(err, core.ErrInternal) || !errors.As(err, &pe) || len(pe.Stack) == 0 {
+		t.Fatalf("buildJoinIndex over a poisoned build side = %v, want a core.PanicError with a stack", err)
+	}
+	rp[len(rp)-1] = path.FromNode(0)
+	byFirst, err := e.buildJoinIndex(rp)
+	if err != nil || len(byFirst[0]) != len(rp) {
+		t.Fatalf("healthy build after a panic: %v, %d positions", err, len(byFirst[0]))
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/pathset"
@@ -56,12 +55,11 @@ func (e *Engine) ExplainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 }
 
 func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
-	hitsBefore := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	plan, applied := e.plan(x)
+	plan, applied, hit := e.plan(x)
 	ex := &Explain{
 		Plan:     plan,
 		Applied:  applied,
-		CacheHit: atomic.LoadInt64(&e.stats.PlanCacheHits) > hitsBefore,
+		CacheHit: hit,
 		Kernel:   e.reachRoute(plan),
 	}
 	out, err := e.explainPath(ctx, plan, 0, ex)

@@ -1,80 +1,37 @@
 package engine
 
 import (
-	"hash/fnv"
-
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/lru"
 )
 
-// planCache is a fixed-capacity LRU of planned queries. Keys are the
-// normalized fingerprint of the INPUT plan — the FNV-64a hash of its
-// canonical String rendering, which the parser and compiler already
-// normalize (whitespace, label quoting and operator sugar all disappear
-// in the expression tree) — so syntactically different spellings of the
-// same logical plan share one cache slot. The stored value is the fully
-// planned physical tree, which is immutable and safely shared across
-// evaluations. Hits verify the full key text: a fingerprint collision
-// (≈2^-64 per pair) degrades to a miss, never to a wrong plan.
-//
-// The cache is engine-private and mutex-guarded (lru.Cache): concurrent
-// Plan/Run calls on one engine serialize only the cache probe and the
-// (rare) planning of a cold query, never evaluation.
-//
-// On a live engine the key additionally carries the epoch the plan was
-// costed against (folded into the fingerprint, verified on the entry):
-// the same query text planned at epoch 4 and epoch 7 occupies two slots,
-// so stale-statistics plans are never replayed, and old epochs' entries
-// age out of the LRU naturally as new epochs fill it.
-type planCache struct {
-	entries *lru.Cache[uint64, *planEntry]
+// planKey identifies a planned query by everything planning reads: the
+// canonical String rendering of the INPUT plan, which the parser and
+// compiler already normalize (whitespace, label quoting and operator
+// sugar all disappear in the expression tree), so syntactically
+// different spellings of the same logical plan share one slot; the epoch
+// whose statistics costed it; and the limits the cost model read. The
+// same query text planned at epoch 4 and epoch 7, or under MaxLen 2 and
+// MaxLen 5, occupies two slots, so a plan is never replayed under inputs
+// it was not chosen for, and old epochs' entries age out of the LRU as
+// new epochs fill it.
+type planKey struct {
+	epoch uint64
+	lim   core.Limits
+	text  string
 }
 
+// planEntry is a cached physical plan and the rules that shaped it. The
+// plan tree is immutable and safely shared across evaluations.
 type planEntry struct {
-	epoch   uint64
-	key     string
 	plan    core.PathExpr
 	applied []string
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{entries: lru.New[uint64, *planEntry](capacity)}
+// newPlanCache returns the fixed-capacity LRU of planned queries. It is
+// mutex-guarded (lru.Cache) and shared by an engine, its pinned copies
+// and its WithLimits views: concurrent Plan/Run calls serialize only the
+// cache probe and the (rare) planning of a cold query, never evaluation.
+func newPlanCache(capacity int) *lru.Cache[planKey, planEntry] {
+	return lru.New[planKey, planEntry](capacity)
 }
-
-// planFingerprint hashes the normalized plan text.
-func planFingerprint(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
-
-// epochFp folds an epoch into a plan fingerprint (FNV-64a over the
-// fingerprint's bytes, seeded by the epoch).
-func epochFp(epoch, fp uint64) uint64 {
-	if epoch == 0 {
-		return fp
-	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(epoch >> (8 * i))
-		buf[8+i] = byte(fp >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
-}
-
-func (c *planCache) get(epoch, fp uint64, key string) (core.PathExpr, []string, bool) {
-	ent, ok := c.entries.Get(epochFp(epoch, fp))
-	if !ok || ent.key != key || ent.epoch != epoch {
-		return nil, nil, false
-	}
-	return ent.plan, ent.applied, true
-}
-
-func (c *planCache) put(epoch, fp uint64, key string, plan core.PathExpr, applied []string) {
-	c.entries.Put(epochFp(epoch, fp), &planEntry{epoch: epoch, key: key, plan: plan, applied: applied})
-}
-
-// Len returns the number of cached plans.
-func (c *planCache) Len() int { return c.entries.Len() }

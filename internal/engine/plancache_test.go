@@ -56,7 +56,8 @@ func TestPlanCacheNormalization(t *testing.T) {
 
 func TestPlanCacheEviction(t *testing.T) {
 	g := ldbc.Figure1()
-	e := New(g, Options{Limits: core.Limits{MaxLen: 3}, PlanCacheSize: 2})
+	e := New(g, Options{Limits: core.Limits{MaxLen: 3}})
+	e.plans = newPlanCache(2)
 	plans := []core.PathExpr{
 		gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`),
 		gql.MustCompile(`MATCH ACYCLIC p = (?x)-[:Likes+]->(?y)`),
@@ -175,5 +176,54 @@ func TestEngineRunsBackwardPlan(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("backward plan: %d paths, planner-off %d", got.Len(), want.Len())
+	}
+}
+
+// TestPlanCacheKeyedByLimits: views of one engine under different limits
+// plan separately (the cost model reads the limits), share one cache and
+// one set of counters, and a view under the base limits is the base.
+func TestPlanCacheKeyedByLimits(t *testing.T) {
+	g := ldbc.Figure1()
+	base := New(g, Options{Limits: core.Limits{MaxLen: 4}})
+	plan := gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`)
+	short := base.WithLimits(core.Limits{MaxLen: 2})
+
+	for i, step := range []struct {
+		e       *Engine
+		wantHit bool
+	}{
+		{base, false},
+		{short, false}, // same text, other limits: a slot of its own
+		{base, true},
+		{short, true},
+		{base.WithLimits(core.Limits{MaxLen: 2}), true}, // equal limits, fresh view
+	} {
+		_, _, hit := step.e.plan(plan)
+		if hit != step.wantHit {
+			t.Fatalf("step %d: hit = %v, want %v", i, hit, step.wantHit)
+		}
+	}
+	if st := base.Stats(); st.PlanCacheHits != 3 || st.PlanCacheMisses != 2 {
+		t.Fatalf("shared counters: hits=%d misses=%d, want 3/2", st.PlanCacheHits, st.PlanCacheMisses)
+	}
+	if got := base.plans.Len(); got != 2 {
+		t.Fatalf("cache holds %d plans, want 2", got)
+	}
+	if base.WithLimits(core.Limits{MaxLen: 4}) != base {
+		t.Fatal("a view under the engine's own limits should be the engine itself")
+	}
+	if got := short.CostModel().Limits; got != (core.Limits{MaxLen: 2}) {
+		t.Fatalf("view cost model limits = %+v", got)
+	}
+
+	// The view evaluates under its limits.
+	res, err := short.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Paths() {
+		if p.Len() > 2 {
+			t.Fatalf("view under MaxLen 2 produced a path of length %d", p.Len())
+		}
 	}
 }

@@ -59,7 +59,7 @@ func (e *Engine) Reach(x core.PathExpr, mode opt.ReachMode) (*ReachResult, error
 func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMode) (*ReachResult, error) {
 	b, release := e.pin()
 	defer release()
-	plan, _ := b.planTraced(ctx, x)
+	plan := b.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))

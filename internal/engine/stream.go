@@ -79,7 +79,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 		epoch:   b.epoch,
 		release: release,
 	}
-	plan, _ := b.planTraced(ctx, x)
+	plan := b.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	sp.SetInt("epoch", int64(b.epoch))
 	evalCtx := obs.WithSpan(ctx, sp)

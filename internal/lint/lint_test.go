@@ -188,3 +188,16 @@ func TestRepoClean(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverGuardScope pins the packages under the panic-isolation
+// mandate: every package that launches evaluation or service goroutines.
+func TestRecoverGuardScope(t *testing.T) {
+	for _, pkg := range []string{"automaton", "engine", "graph", "reach", "server"} {
+		if !recoverScopeRe.MatchString("pathalgebra/internal/" + pkg) {
+			t.Errorf("recoverguard does not cover internal/%s", pkg)
+		}
+	}
+	if recoverScopeRe.MatchString("pathalgebra/internal/opt") {
+		t.Error("recoverguard covers internal/opt, which launches no goroutines")
+	}
+}

@@ -33,14 +33,15 @@ import (
 //	//lint:ignore recoverguard <why a panic here is acceptable>
 var RecoverGuard = &Analyzer{
 	Name: "recoverguard",
-	Doc: "every goroutine launched in internal/automaton, internal/server and internal/graph " +
+	Doc: "every goroutine launched in internal/automaton, internal/engine, internal/graph, " +
+		"internal/reach and internal/server " +
 		"must install a recover handler (a defer calling recover() directly), or carry a " +
 		"//lint:ignore recoverguard suppression with a reason",
 	Run: runRecoverGuard,
 }
 
 // recoverScopeRe selects the packages under the panic-isolation mandate.
-var recoverScopeRe = regexp.MustCompile(`(^|/)(automaton|server|graph)$`)
+var recoverScopeRe = regexp.MustCompile(`(^|/)(automaton|engine|graph|reach|server)$`)
 
 func runRecoverGuard(pass *Pass) error {
 	if pass.Pkg == nil || !recoverScopeRe.MatchString(pass.Pkg.Path()) {

@@ -1,5 +1,5 @@
 // Package lru provides the mutex-guarded, fixed-capacity LRU map shared
-// by the engine's plan cache and the query service's result cache.
+// by the engine's plan cache and the query service's result caches.
 package lru
 
 import (
@@ -34,18 +34,30 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 
 // Get returns the value under k, bumping its recency and the hit/miss
 // counters.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
+func (c *Cache[K, V]) Get(k K) (V, bool) { return c.GetValid(k, nil) }
+
+// GetValid is Get for values that can go stale: an entry under k for
+// which valid reports false is removed and counted as a miss, never as a
+// hit. valid runs under the cache lock; nil accepts every entry.
+func (c *Cache[K, V]) GetValid(k K, valid func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var zero V
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		var zero V
+		return zero, false
+	}
+	v := el.Value.(*entry[K, V]).val
+	if valid != nil && !valid(v) {
+		c.order.Remove(el)
+		delete(c.entries, k)
+		c.misses++
 		return zero, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*entry[K, V]).val, true
+	return v, true
 }
 
 // Put inserts or replaces the value under k, evicting least-recently-
@@ -64,20 +76,6 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		delete(c.entries, oldest.Value.(*entry[K, V]).key)
 	}
 	c.entries[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
-}
-
-// Delete removes the entry under k, if present, and reports whether it
-// existed. Hit/miss counters are unaffected.
-func (c *Cache[K, V]) Delete(k K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.entries, k)
-	return true
 }
 
 // Len returns the number of cached entries.

@@ -78,3 +78,24 @@ func TestZeroValueMiss(t *testing.T) {
 		t.Errorf("miss returned %v, %v", v, ok)
 	}
 }
+
+// TestGetValidStale: an entry rejected by the validity check is evicted
+// and counted as a miss — the probe never reads as a hit.
+func TestGetValidStale(t *testing.T) {
+	c := New[string, int](4)
+	c.Put("fresh", 1)
+	c.Put("stale", 2)
+	valid := func(v int) bool { return v != 2 }
+	if v, ok := c.GetValid("fresh", valid); !ok || v != 1 {
+		t.Fatalf("GetValid(fresh) = %d,%v", v, ok)
+	}
+	if _, ok := c.GetValid("stale", valid); ok {
+		t.Fatal("stale entry served")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after a stale probe, want 1 (stale entry evicted)", c.Len())
+	}
+	if hits, misses := c.Counters(); hits != 1 || misses != 1 {
+		t.Fatalf("counters = %d/%d, want 1 hit (fresh) / 1 miss (stale)", hits, misses)
+	}
+}

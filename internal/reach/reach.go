@@ -23,7 +23,6 @@ package reach
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -31,6 +30,7 @@ import (
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/fault"
 	"pathalgebra/internal/graph"
 )
 
@@ -270,8 +270,10 @@ func Eval(ctx context.Context, g *graph.Graph, q Query, lim core.Limits) (*Resul
 
 // EvalInto evaluates q into res, reusing res's slices and the
 // evaluator's scratch — the steady-state path is allocation-free at
-// Workers <= 1. The budget is shared across all workers.
-func (ev *Evaluator) EvalInto(res *Result, q Query, bud *core.Budget) error {
+// Workers <= 1. The budget is shared across all workers. A panic inside
+// the kernel is returned as a *core.PanicError (errors.Is
+// core.ErrInternal) at every Workers setting.
+func (ev *Evaluator) EvalInto(res *Result, q Query, bud *core.Budget) (err error) {
 	res.Pairs = res.Pairs[:0]
 	res.Lengths = res.Lengths[:0]
 	seeds := ev.resolveSeeds(q.Seeds)
@@ -279,10 +281,16 @@ func (ev *Evaluator) EvalInto(res *Result, q Query, bud *core.Budget) error {
 	if q.Workers > 1 && len(seeds) > 1 {
 		return ev.evalParallel(res, q, seeds, mask, bud)
 	}
+	defer func() {
+		if perr := core.Recovered(recover()); perr != nil {
+			err = perr
+		}
+	}()
 	for i, s := range seeds {
 		if i > 0 && s == seeds[i-1] {
 			continue
 		}
+		workerFault()
 		if err := ev.runSource(&ev.scr, s, q.MaxLen, q.NeedLengths, mask, bud, &res.Pairs, &res.Lengths); err != nil {
 			return err
 		}
@@ -446,11 +454,20 @@ func (ev *Evaluator) runSource(scr *scratch, src graph.NodeID, maxLen int, needL
 	return nil
 }
 
+// workerFault is the "reach.worker" chaos seam, hit once per source like
+// "automaton.worker": injected faults surface as panics so tests exercise
+// the same recovery path as a real kernel bug.
+func workerFault() {
+	if err := fault.Hit("reach.worker"); err != nil {
+		panic(err)
+	}
+}
+
 // evalParallel shards the sources over Workers goroutines against the
 // shared budget and reassembles the per-source blocks in seed order, so
 // the result is identical to the sequential path. A worker panic is
 // contained: it cancels the budget (aborting the other workers at their
-// next charge) and surfaces as an error.
+// next charge) and surfaces as a *core.PanicError.
 func (ev *Evaluator) evalParallel(res *Result, q Query, seeds []graph.NodeID, mask []uint64, bud *core.Budget) error {
 	type block struct {
 		pairs []Pair
@@ -469,8 +486,7 @@ func (ev *Evaluator) evalParallel(res *Result, q Query, seeds []graph.NodeID, ma
 		go func() {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("reach: kernel worker panic: %v", r)
+				if err := core.Recovered(recover()); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					bud.Cancel(err)
 				}
@@ -484,6 +500,7 @@ func (ev *Evaluator) evalParallel(res *Result, q Query, seeds []graph.NodeID, ma
 				if i > 0 && seeds[i] == seeds[i-1] {
 					continue
 				}
+				workerFault()
 				if err := ev.runSource(scr, seeds[i], q.MaxLen, q.NeedLengths, mask, bud, &blocks[i].pairs, &blocks[i].lens); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					return

@@ -3,11 +3,13 @@ package reach
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/fault"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/rpq"
 )
@@ -282,5 +284,41 @@ func TestKernelInfeasibleIndex(t *testing.T) {
 		Query{NFA: automaton.Build(rpq.Plus{In: rpq.Label{Name: "a"}})}, core.Limits{MaxLen: 3})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("got %v, want ErrInfeasible", err)
+	}
+}
+
+// TestKernelWorkerPanic: a panic inside a kernel worker — injected at
+// the "reach.worker" seam — surfaces as a typed core.ErrInternal
+// carrying its stack, at every worker count, and the next un-faulted
+// evaluation is identical to a never-faulted one.
+func TestKernelWorkerPanic(t *testing.T) {
+	g := fixture(t)
+	q := Query{NFA: automaton.Build(rpq.Plus{In: rpq.AnyLabel{}}), NeedLengths: true}
+	lim := core.Limits{MaxLen: 6}
+	want, err := Eval(context.Background(), g, q, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		q.Workers = workers
+		restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{
+			{Site: "reach.worker", Mode: fault.ModePanic, Nth: 2},
+		}})
+		_, err := Eval(context.Background(), g, q, lim)
+		restore()
+		if !errors.Is(err, core.ErrInternal) || !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("workers=%d: got %v, want core.ErrInternal wrapping the injected fault", workers, err)
+		}
+		var pe *core.PanicError
+		if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: %v carries no stack", workers, err)
+		}
+		got, err := Eval(context.Background(), g, q, lim)
+		if err != nil {
+			t.Fatalf("workers=%d after panic: %v", workers, err)
+		}
+		if !slices.Equal(got.Pairs, want.Pairs) || !slices.Equal(got.Lengths, want.Lengths) {
+			t.Fatalf("workers=%d: post-panic evaluation diverges", workers)
+		}
 	}
 }

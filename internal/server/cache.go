@@ -3,145 +3,93 @@ package server
 import (
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/lru"
+	"pathalgebra/internal/obs"
 	"pathalgebra/internal/pathset"
 )
 
-// cacheEntry is one cached query result: the materialized set, the graph
-// view its path IDs resolve against, the epoch it was computed at, and
-// the label footprint of the plan that produced it (which node/edge
-// labels the result can depend on).
-type cacheEntry struct {
-	set   *pathset.Set
-	g     *graph.Graph
+// cachedResult is one cached POST /query result: the materialized set
+// and the graph view its path IDs resolve against.
+type cachedResult struct {
+	set *pathset.Set
+	g   *graph.Graph
+}
+
+// epochEntry is one cached value tagged with the epoch it was computed
+// at and the label footprint of the plan that produced it (which
+// node/edge labels the value can depend on).
+type epochEntry[V any] struct {
+	val   V
 	epoch uint64
 	fp    graph.Footprint
 }
 
-// resultCache is an LRU (lru.Cache) of fully materialized query results,
-// keyed by the canonical rendering of the PLANNED physical plan plus the
-// evaluation limits (the two inputs that determine a result byte for
-// byte — the engine's evaluation is deterministic at every parallelism).
-// Cached sets are immutable and shared: hits page the same *pathset.Set
-// through a fresh cursor, so a hit costs no evaluation and no copying.
+// epochCache is an LRU (lru.Cache) of evaluation answers that stay valid
+// only while the graph they were computed on has not changed under
+// them. The server keeps two: POST /query path sets (cachedResult) and
+// rendered POST /reach answers (reachResponse). They are separate
+// instances on purpose — reach answers are path-free while query results
+// are path sets, and the two evaluation routes must never alias — and
+// their keys are disjoint besides (reachKey's "reach:<mode>:" prefix).
+//
+// Keys are the canonical rendering of the PLANNED physical plan plus the
+// evaluation limits (the inputs that determine an answer byte for byte
+// — evaluation is deterministic at every parallelism). Cached values are
+// immutable and shared: a hit costs no evaluation and no copying.
 //
 // Capacity is counted in entries. Invalidation is label-footprint-based:
-// every entry records the epoch it was computed at and the set of labels
-// its plan reads; a hit is valid only while no ingest batch since that
-// epoch has touched any of those labels (Store.ValidAt consults the
-// store's per-label modification clock). A delta touching only `knows`
+// a hit is valid only while no ingest batch since the entry's epoch has
+// touched any label in its footprint (Store.ValidAt consults the store's
+// per-label modification clock). A delta touching only `knows`
 // therefore evicts entries whose plan reads `knows` and leaves the rest
-// servable. Explicit invalidation (the /cache/invalidate endpoint) still
-// empties the cache wholesale.
-type resultCache struct {
-	entries *lru.Cache[string, *cacheEntry]
+// servable. Explicit invalidation (POST /cache/invalidate) empties the
+// cache wholesale. A nil *epochCache is a disabled cache.
+type epochCache[V any] struct {
+	entries *lru.Cache[string, epochEntry[V]]
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{entries: lru.New[string, *cacheEntry](capacity)}
+func newEpochCache[V any](capacity int) *epochCache[V] {
+	return &epochCache[V]{entries: lru.New[string, epochEntry[V]](capacity)}
 }
 
-// get returns the cached result for key if it is still valid at the
-// store's current epoch, bumping its recency. Entries invalidated by a
-// later write to a label in their footprint are evicted on probe (and
-// counted as misses).
-func (c *resultCache) get(store *graph.Store, key string) (*cacheEntry, bool) {
+// get returns the value cached under key if it is still valid at the
+// store's current epoch, bumping its recency, under a "cache_probe" span
+// of root (nil: untraced). An entry invalidated by a later write to a
+// label in its footprint is evicted by the probe and counted as a miss.
+func (c *epochCache[V]) get(root *obs.Span, store *graph.Store, key string) (V, bool) {
+	sp := root.Start("cache_probe")
+	defer sp.End()
 	if c == nil {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	ent, ok := c.entries.Get(key)
-	if !ok {
-		return nil, false
+	ent, ok := c.entries.GetValid(key, func(e epochEntry[V]) bool {
+		return store.ValidAt(e.fp, e.epoch)
+	})
+	if ok {
+		sp.SetInt("hit", 1)
 	}
-	if !store.ValidAt(ent.fp, ent.epoch) {
-		c.entries.Delete(key)
-		return nil, false
-	}
-	return ent, true
+	return ent.val, ok
 }
 
-// put admits a completed result, evicting least-recently-used entries
-// beyond capacity.
-func (c *resultCache) put(key string, ent *cacheEntry) {
+// put admits a value computed at epoch by a plan with footprint fp,
+// evicting least-recently-used entries beyond capacity.
+func (c *epochCache[V]) put(key string, val V, epoch uint64, fp graph.Footprint) {
 	if c == nil {
 		return
 	}
-	c.entries.Put(key, ent)
+	c.entries.Put(key, epochEntry[V]{val: val, epoch: epoch, fp: fp})
 }
 
 // invalidate empties the cache and returns how many entries it dropped.
-func (c *resultCache) invalidate() int {
+func (c *epochCache[V]) invalidate() int {
 	if c == nil {
 		return 0
 	}
 	return c.entries.Clear()
 }
 
-// snapshot returns (entries, hits, misses) for /stats.
-func (c *resultCache) snapshot() (entries int, hits, misses int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	hits, misses = c.entries.Counters()
-	return c.entries.Len(), hits, misses
-}
-
-// reachEntry is one cached POST /reach answer: the fully rendered
-// response (node keys resolved against the evaluation view, so no graph
-// needs to be retained), the epoch it was computed at and the plan's
-// label footprint for invalidation.
-type reachEntry struct {
-	resp  reachResponse
-	epoch uint64
-	fp    graph.Footprint
-}
-
-// reachCache is the POST /reach result LRU. It is a SEPARATE cache from
-// resultCache on purpose: reach answers are path-free (pairs, counts,
-// lengths) while query results are path sets, and the two evaluation
-// routes must never alias — a kernel answer under a key an enumeration
-// could hit (or vice versa) would be a correctness bug, not a cache
-// policy choice. Keys carry a "reach:<mode>:" prefix on top of the
-// structural separation, so even a future merged store could not
-// collide them. Invalidation follows the same label-footprint scheme as
-// resultCache.
-type reachCache struct {
-	entries *lru.Cache[string, *reachEntry]
-}
-
-func newReachCache(capacity int) *reachCache {
-	return &reachCache{entries: lru.New[string, *reachEntry](capacity)}
-}
-
-func (c *reachCache) get(store *graph.Store, key string) (*reachEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	ent, ok := c.entries.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if !store.ValidAt(ent.fp, ent.epoch) {
-		c.entries.Delete(key)
-		return nil, false
-	}
-	return ent, true
-}
-
-func (c *reachCache) put(key string, ent *reachEntry) {
-	if c == nil {
-		return
-	}
-	c.entries.Put(key, ent)
-}
-
-func (c *reachCache) invalidate() int {
-	if c == nil {
-		return 0
-	}
-	return c.entries.Clear()
-}
-
-func (c *reachCache) snapshot() (entries int, hits, misses int64) {
+// snapshot returns (entries, hits, misses) for /stats and /metrics.
+func (c *epochCache[V]) snapshot() (entries int, hits, misses int64) {
 	if c == nil {
 		return 0, 0, 0
 	}

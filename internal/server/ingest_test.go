@@ -271,3 +271,39 @@ func TestCursorSurvivesIngestAndCompaction(t *testing.T) {
 		t.Fatalf("paged %d paths, trailer total %d", len(got), trailer.Total)
 	}
 }
+
+// TestResultCacheStaleProbeIsMiss: a probe that finds an entry
+// invalidated by a later ingest counts as a result-cache miss, never a
+// hit — the stale entry is evicted and the query re-evaluated.
+func TestResultCacheStaleProbeIsMiss(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	knowsQ := `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`
+	post := func() queryResponse {
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: knowsQ}))
+		drainCursor(t, ts.URL, qr.ID)
+		return qr
+	}
+	stats := func() statsResponse { return decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats")) }
+
+	post()
+	if !post().Cached {
+		t.Fatal("query not cached after completion")
+	}
+	before := stats().ResultCache
+
+	ing := postBody(t, ts.URL+"/ingest", "application/x-ndjson",
+		`{"op":"add_edge","key":"knows-new","src":"n3","dst":"n1","label":"Knows"}`+"\n")
+	if ing.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", ing.StatusCode)
+	}
+	if post().Cached {
+		t.Fatal("stale entry served after a Knows delta")
+	}
+	after := stats().ResultCache
+	if after.Hits != before.Hits {
+		t.Errorf("stale probe counted as a hit: hits %d → %d", before.Hits, after.Hits)
+	}
+	if after.Misses != before.Misses+1 {
+		t.Errorf("stale probe: misses %d → %d, want +1", before.Misses, after.Misses)
+	}
+}

@@ -38,7 +38,7 @@ type serverMetrics struct {
 	ingests     *obs.Counter // batches applied via POST /ingest
 	ingestedOps *obs.Counter // ops across those batches
 
-	panics      *obs.Counter // panics recovered in handlers and background goroutines
+	panics      *obs.Counter // panics recovered in handlers, background goroutines and evaluations
 	slowQueries *obs.Counter // evaluations at or above Config.SlowQuery
 
 	cursorsOpened  *obs.Counter // cursors registered
@@ -62,7 +62,7 @@ func newServerMetrics() *serverMetrics {
 		pages:          reg.Counter("pathalgebra_pages_served_total", "Cursor pages served."),
 		ingests:        reg.Counter("pathalgebra_ingest_batches_total", "Mutation batches applied via POST /ingest."),
 		ingestedOps:    reg.Counter("pathalgebra_ingest_ops_total", "Mutation ops across applied batches."),
-		panics:         reg.Counter("pathalgebra_panics_recovered_total", "Panics recovered in handlers and background goroutines."),
+		panics:         reg.Counter("pathalgebra_panics_recovered_total", "Panics recovered in handlers, background goroutines and evaluations."),
 		slowQueries:    reg.Counter("pathalgebra_slow_queries_total", "Evaluations at or above the slow-query threshold."),
 		cursorsOpened:  reg.Counter("pathalgebra_cursors_opened_total", "Result cursors registered."),
 		cursorsExpired: reg.Counter("pathalgebra_cursors_expired_total", "Result cursors evicted by the idle sweeper."),
@@ -109,34 +109,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reg.WritePrometheus(w)
 }
 
-// engineStats aggregates counters across the per-limits engine pool —
-// the engine-side half of /stats and the source for the engine
-// collectors below.
-func (s *Server) engineStats() engine.Stats {
-	var agg engine.Stats
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	for _, eng := range s.engines {
-		st := eng.Stats()
-		agg.PathsProduced += st.PathsProduced
-		agg.JoinProbes += st.JoinProbes
-		agg.IndexedScans += st.IndexedScans
-		agg.Recursions += st.Recursions
-		agg.ExpandedRecursions += st.ExpandedRecursions
-		agg.SeededRecursions += st.SeededRecursions
-		agg.BackwardRecursions += st.BackwardRecursions
-		agg.ReachKernelRuns += st.ReachKernelRuns
-		agg.ReachFallbacks += st.ReachFallbacks
-		agg.PlanCacheHits += st.PlanCacheHits
-		agg.PlanCacheMisses += st.PlanCacheMisses
-		agg.BudgetExhaustions += st.BudgetExhaustions
-		agg.FingerprintCollisions += st.FingerprintCollisions
-	}
-	return agg
-}
-
 // registerCollectors wires the scrape-time sources into the registry:
-// engine-pool aggregates, store and cache state, WAL latency histograms,
+// the engine's counters, store and cache state, WAL latency histograms,
 // and runtime health. Collectors read live state on every scrape — they
 // cost nothing between scrapes.
 func (s *Server) registerCollectors() {
@@ -163,9 +137,9 @@ func (s *Server) registerCollectors() {
 		{"pathalgebra_engine_plan_cache_hits_total", "Plan cache hits.", func(st engine.Stats) int64 { return st.PlanCacheHits }},
 		{"pathalgebra_engine_plan_cache_misses_total", "Plan cache misses.", func(st engine.Stats) int64 { return st.PlanCacheMisses }},
 		{"pathalgebra_engine_budget_exhaustions_total", "Evaluations aborted by budget exhaustion.", func(st engine.Stats) int64 { return st.BudgetExhaustions }},
-		{"pathalgebra_engine_fingerprint_collisions_total", "Plan fingerprint collisions detected.", func(st engine.Stats) int64 { return st.FingerprintCollisions }},
+		{"pathalgebra_engine_fingerprint_collisions_total", "Path fingerprint collisions resolved by exact comparison (path sets and search arenas).", func(st engine.Stats) int64 { return st.FingerprintCollisions }},
 	} {
-		reg.CounterFunc(c.name, c.help, func() int64 { return c.pick(s.engineStats()) })
+		reg.CounterFunc(c.name, c.help, func() int64 { return c.pick(s.base.Stats()) })
 	}
 
 	reg.GaugeFunc("pathalgebra_result_cache_entries", "Result LRU entries.",

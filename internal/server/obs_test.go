@@ -16,6 +16,8 @@ import (
 	"pathalgebra/internal/engine"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/obs"
+	"pathalgebra/internal/path"
+	"pathalgebra/internal/pathset"
 )
 
 const obsQuery = `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`
@@ -340,5 +342,78 @@ func TestReachTrace(t *testing.T) {
 	third := decodeBody[reachResponse](t, postJSON(t, ts.URL+"/reach", reachRequest{Query: obsQuery, Mode: "pairs"}))
 	if third.Trace != nil {
 		t.Error("untraced reach response carries a trace")
+	}
+}
+
+// scrapeMetrics fetches GET /metrics and returns its samples by series
+// ("name{labels}" → value).
+func scrapeMetrics(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples := map[string]int64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		var v int64
+		fmt.Sscan(line[i+1:], &v)
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// TestEngineMetricsAcrossLimits: requests under many distinct limit
+// combinations — more than any fixed per-limits pool would hold — all
+// account into the one set of engine counters /metrics and /stats read.
+// Every plan call is counted exactly once, and a process-wide path
+// fingerprint collision is counted once, not once per limits.
+func TestEngineMetricsAcrossLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), MaxInFlight: 256})
+	requests := 0
+	for maxLen := 1; maxLen <= 7; maxLen++ {
+		for k := 0; k < 10; k++ {
+			resp := postJSON(t, ts.URL+"/query", queryRequest{
+				Query: obsQuery, MaxLen: maxLen, MaxWork: 1<<20 + k,
+			})
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("POST /query max_len=%d max_work=%d: status %d", maxLen, 1<<20+k, resp.StatusCode)
+			}
+			drainCursor(t, ts.URL, decodeBody[queryResponse](t, resp).ID)
+			requests++
+		}
+	}
+	// Each request misses the result cache (its limits are part of the
+	// key), so it plans twice: once in the handler for the cache key,
+	// once inside RunStream.
+	wantPlans := int64(2 * requests)
+	m := scrapeMetrics(t, ts.URL)
+	hits, misses := m["pathalgebra_engine_plan_cache_hits_total"], m["pathalgebra_engine_plan_cache_misses_total"]
+	if hits+misses != wantPlans {
+		t.Errorf("plan cache hits+misses = %d+%d = %d on /metrics, want %d (one per plan call)", hits, misses, hits+misses, wantPlans)
+	}
+	if misses != int64(requests) {
+		t.Errorf("plan cache misses = %d, want %d (one per distinct limits)", misses, requests)
+	}
+	st := decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats"))
+	if st.Engine.PlanCacheHits != hits || st.Engine.PlanCacheMisses != misses {
+		t.Errorf("/stats engine plan cache %d/%d disagrees with /metrics %d/%d",
+			st.Engine.PlanCacheHits, st.Engine.PlanCacheMisses, hits, misses)
+	}
+
+	// One forced collision in a fingerprint-bucketed path set.
+	before := m["pathalgebra_engine_fingerprint_collisions_total"]
+	g := ldbc.Figure1()
+	set := pathset.New(0)
+	set.Add(path.ForceFingerprint(path.MustFromKeys(g, "n1", "e1", "n2"), 7))
+	set.Add(path.ForceFingerprint(path.MustFromKeys(g, "n2", "e2", "n3"), 7))
+	if got := scrapeMetrics(t, ts.URL)["pathalgebra_engine_fingerprint_collisions_total"] - before; got != 1 {
+		t.Errorf("one fingerprint collision moved the collisions counter by %d, want 1", got)
 	}
 }

@@ -80,11 +80,29 @@ func TestWorkerPanicTypedError(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("poisoned page status = %d, want 500", resp.StatusCode)
 	}
-	if er := decodeBody[errorResponse](t, resp); er.Kind != "internal" {
+	er := decodeBody[errorResponse](t, resp)
+	if er.Kind != "internal" {
 		t.Fatalf("poisoned page kind = %q, want internal", er.Kind)
+	}
+	// The panic value stays server-side: the body names no fault.
+	if strings.Contains(er.Error, "injected") || strings.Contains(er.Error, "automaton.worker") {
+		t.Fatalf("error body echoes the panic value: %q", er.Error)
 	}
 	if n := s.cursors.len(); n != 0 {
 		t.Fatalf("poisoned cursor leaked: table holds %d", n)
+	}
+	// The evaluation panic is counted like a handler panic. The
+	// completion watcher notes it concurrently with the page, so poll.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats"))
+		if st.Server.Panics == 1 {
+			break
+		}
+		if st.Server.Panics > 1 || time.Now().After(deadline) {
+			t.Fatalf("panics_recovered = %d after the poisoned page, want 1", st.Server.Panics)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Same query, no fault: full result.

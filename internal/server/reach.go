@@ -115,13 +115,12 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := s.limitsFor(&queryRequest{MaxLen: req.MaxLen, MaxPaths: req.MaxPaths, MaxWork: req.MaxWork})
-	eng := s.engineFor(lim)
+	eng := s.base.WithLimits(lim)
 	plan := tracePlan(root, eng, logical)
 	key := reachKey(mode, plan, lim)
 
 	if !req.NoCache {
-		if ent, ok := s.probeReachCache(root, key); ok {
-			resp := ent.resp
+		if resp, ok := s.reach.get(root, s.store, key); ok {
 			resp.Cached = true
 			if wantTrace {
 				resp.Trace = tr.Tree()
@@ -146,6 +145,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := eng.ReachCtx(obs.WithSpan(ctx, root), logical, mode)
 	if err != nil {
+		s.notePanic(err)
 		writeEvalError(w, err)
 		return
 	}
@@ -153,11 +153,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	// Cache the response before attaching the trace: a later hit gets the
 	// answer, not this request's spans.
 	if !req.NoCache {
-		s.reach.put(key, &reachEntry{
-			resp:  resp,
-			epoch: res.Epoch,
-			fp:    engine.PlanFootprint(plan),
-		})
+		s.reach.put(key, resp, res.Epoch, engine.PlanFootprint(plan))
 	}
 	if wantTrace {
 		resp.Trace = tr.Tree()

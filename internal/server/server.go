@@ -165,16 +165,14 @@ type Server struct {
 	// ownStore records whether the server created the store itself (and
 	// must close its compactor on Close).
 	ownStore bool
-	base     *engine.Engine
-	// engines pools one engine per distinct per-query Limits so plan
-	// caches stay warm across requests that share limits; the map is
-	// bounded — beyond enginePoolMax distinct limit combinations the
-	// server serves transient engines (correct, just cache-cold).
-	enginesMu sync.Mutex
-	engines   map[core.Limits]*engine.Engine
+	// base is the server's one engine. Every request evaluates through
+	// base.WithLimits(its limits): a per-call view sharing base's plan
+	// cache (keyed by limits) and counters, so /stats and /metrics read
+	// one engine's stats.
+	base *engine.Engine
 
-	cache    *resultCache
-	reach    *reachCache
+	cache    *epochCache[cachedResult]
+	reach    *epochCache[reachResponse]
 	cursors  *cursorTable
 	inflight atomic.Int64
 	metrics  *serverMetrics
@@ -188,9 +186,6 @@ type Server struct {
 	closeOnce  sync.Once
 	mux        *http.ServeMux
 }
-
-// enginePoolMax bounds the per-limits engine pool.
-const enginePoolMax = 64
 
 // New returns a Server over cfg.Store (or a server-owned store wrapping
 // cfg.Graph).
@@ -210,17 +205,15 @@ func New(cfg Config) (*Server, error) {
 		store:      store,
 		ownStore:   own,
 		base:       engine.NewWithStore(store, cfg.Engine),
-		engines:    make(map[core.Limits]*engine.Engine),
 		cursors:    newCursorTable(cfg.maxCursors()),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		sweepStop:  make(chan struct{}),
 		mux:        http.NewServeMux(),
 	}
-	s.engines[cfg.Engine.Limits] = s.base
 	if n := cfg.cacheSize(); n > 0 {
-		s.cache = newResultCache(n)
-		s.reach = newReachCache(n)
+		s.cache = newEpochCache[cachedResult](n)
+		s.reach = newEpochCache[reachResponse](n)
 	}
 	s.metrics = newServerMetrics()
 	s.registerCollectors()
@@ -259,7 +252,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Best effort: if the handler already wrote headers this is a
 		// no-op beyond a log line, and the truncated body tells the
 		// client the response is dead.
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		writeEvalError(w, err)
 	}()
 	// Chaos seam: error mode fails the request before dispatch, panic
 	// mode exercises the recovery middleware above.
@@ -270,17 +263,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// notePanic counts a recovered panic and logs it with its stack — the
-// one place panic stacks become visible, since clients only ever see the
-// typed "internal" error.
+// notePanic counts and logs err if it is a recovered panic (a
+// *core.PanicError from a handler, a background goroutine or an
+// evaluation) — the one place panic stacks become visible, since
+// clients only ever see the typed "internal" error. Other errors are the
+// query's fault, not the server's, and pass unnoted.
 func (s *Server) notePanic(err error) {
-	s.metrics.panics.Inc()
 	var pe *core.PanicError
-	if errors.As(err, &pe) {
-		log.Printf("server: recovered panic: %v\n%s", pe.Val, pe.Stack)
-	} else {
-		log.Printf("server: recovered panic: %v", err)
+	if !errors.As(err, &pe) {
+		return
 	}
+	s.metrics.panics.Inc()
+	log.Printf("server: recovered panic: %v\n%s", pe.Val, pe.Stack)
 }
 
 // recovered is the deferred recovery hook for server-owned background
@@ -335,23 +329,6 @@ func (s *Server) sweepLoop(ttl time.Duration) {
 	}
 }
 
-// engineFor returns the pooled engine for the given limits, creating it
-// on first use; beyond the pool bound it returns a transient engine.
-func (s *Server) engineFor(lim core.Limits) *engine.Engine {
-	opts := s.cfg.Engine
-	opts.Limits = lim
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	if eng, ok := s.engines[lim]; ok {
-		return eng
-	}
-	eng := engine.NewWithStore(s.store, opts)
-	if len(s.engines) < enginePoolMax {
-		s.engines[lim] = eng
-	}
-	return eng
-}
-
 // queryRequest is the POST /query (and POST /explain) body.
 type queryRequest struct {
 	// Query is the GQL path query text. Required.
@@ -403,6 +380,9 @@ func writeError(w http.ResponseWriter, status int, kind, format string, args ...
 
 // writeEvalError maps an evaluation error to its HTTP status — the
 // payoff of the typed error contract (errors.Is, never string matching).
+// An internal failure (a recovered panic) reaches the client as a bare
+// "internal error": its value and stack belong in the daemon log
+// (notePanic), not in a response body.
 func writeEvalError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrDraining):
@@ -413,6 +393,8 @@ func writeEvalError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", "%v", err)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusGone, "cancelled", "%v", err)
+	case errors.Is(err, core.ErrInternal):
+		writeError(w, http.StatusInternalServerError, "internal", "internal error")
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 	}
@@ -505,7 +487,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := s.limitsFor(req)
-	eng := s.engineFor(lim)
+	eng := s.base.WithLimits(lim)
 	plan := tracePlan(root, eng, logical)
 	key := resultKey(plan, lim)
 
@@ -522,7 +504,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !req.NoCache {
-		if ent, ok := s.probeResultCache(root, key); ok {
+		if ent, ok := s.cache.get(root, s.store, key); ok {
 			cur.cached = true
 			cur.cancel = func() {}
 			// The cached set's path IDs belong to the epoch it was computed
@@ -594,17 +576,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		set, err := cur.stream.Result()
 		if err != nil {
 			s.metrics.failed.Inc()
+			s.notePanic(err)
 			return
 		}
 		s.metrics.completed.Inc()
 		if !req.NoCache {
-			fp := engine.PlanFootprint(plan)
-			s.cache.put(key, &cacheEntry{
-				set:   set,
-				g:     cur.stream.Graph(),
-				epoch: cur.stream.Epoch(),
-				fp:    fp,
-			})
+			s.cache.put(key, cachedResult{set: set, g: cur.stream.Graph()},
+				cur.stream.Epoch(), engine.PlanFootprint(plan))
 		}
 	}()
 
@@ -790,13 +768,12 @@ type statsResponse struct {
 	} `json:"store"`
 }
 
-// handleStats snapshots engine stats (aggregated across the per-limits
-// engine pool) plus the service counters. The counters are read from the
-// same obs instruments /metrics scrapes — one source of truth, two
-// renderings.
+// handleStats snapshots the engine's stats plus the service counters.
+// Everything is read from the same sources /metrics scrapes — one source
+// of truth, two renderings.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp statsResponse
-	resp.Engine = s.engineStats()
+	resp.Engine = s.base.Stats()
 	resp.Server.InFlight = s.inflight.Load()
 	resp.Server.LiveCursors = s.cursors.len()
 	resp.Server.Started = s.metrics.started.Value()
@@ -864,8 +841,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	ex, err := s.engineFor(s.limitsFor(req)).ExplainCtx(ctx, logical)
+	ex, err := s.base.WithLimits(s.limitsFor(req)).ExplainCtx(ctx, logical)
 	if err != nil {
+		s.notePanic(err)
 		writeEvalError(w, err)
 		return
 	}

@@ -405,7 +405,7 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestPerQueryLimits: request-level limits select a pooled engine whose
+// TestPerQueryLimits: request-level limits select an engine view whose
 // evaluation honors them.
 func TestPerQueryLimits(t *testing.T) {
 	g := ldbc.Figure1()

@@ -35,28 +35,6 @@ func tracePlan(root *obs.Span, eng *engine.Engine, logical core.PathExpr) core.P
 	return plan
 }
 
-// probeResultCache looks up the result LRU under a "cache_probe" span.
-func (s *Server) probeResultCache(root *obs.Span, key string) (*cacheEntry, bool) {
-	sp := root.Start("cache_probe")
-	defer sp.End()
-	ent, ok := s.cache.get(s.store, key)
-	if ok {
-		sp.SetInt("hit", 1)
-	}
-	return ent, ok
-}
-
-// probeReachCache looks up the reach LRU under a "cache_probe" span.
-func (s *Server) probeReachCache(root *obs.Span, key string) (*reachEntry, bool) {
-	sp := root.Start("cache_probe")
-	defer sp.End()
-	ent, ok := s.reach.get(s.store, key)
-	if ok {
-		sp.SetInt("hit", 1)
-	}
-	return ent, ok
-}
-
 // writePage writes one page's path lines under a "deliver" span of the
 // cursor's trace (no-op spans when the query is untraced). Paths render
 // with the stream's pinned graph view: the IDs were minted at that
