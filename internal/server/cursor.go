@@ -38,8 +38,10 @@ type cursor struct {
 	root      *obs.Span
 	wantTrace bool
 
-	mu        sync.Mutex
-	delivered int64
+	mu sync.Mutex
+	// delivered counts the paths on fully written pages: the offset of
+	// the next page into the stream's result.
+	delivered int
 	lastRead  time.Time
 }
 

@@ -35,6 +35,8 @@ type serverMetrics struct {
 	paths     *obs.Counter // path lines delivered
 	pages     *obs.Counter // pages served
 
+	deliveredBytes *obs.Counter // path-line bytes the response writers accepted
+
 	ingests     *obs.Counter // batches applied via POST /ingest
 	ingestedOps *obs.Counter // ops across those batches
 
@@ -60,6 +62,7 @@ func newServerMetrics() *serverMetrics {
 		cancelled:      reg.Counter("pathalgebra_queries_cancelled_total", "Queries cancelled by DELETE, sweeper eviction or server close."),
 		paths:          reg.Counter("pathalgebra_paths_delivered_total", "Path lines delivered over NDJSON pages."),
 		pages:          reg.Counter("pathalgebra_pages_served_total", "Cursor pages served."),
+		deliveredBytes: reg.Counter("pathalgebra_delivered_bytes_total", "NDJSON path-line bytes accepted by response writers, severed pages included."),
 		ingests:        reg.Counter("pathalgebra_ingest_batches_total", "Mutation batches applied via POST /ingest."),
 		ingestedOps:    reg.Counter("pathalgebra_ingest_ops_total", "Mutation ops across applied batches."),
 		panics:         reg.Counter("pathalgebra_panics_recovered_total", "Panics recovered in handlers, background goroutines and evaluations."),

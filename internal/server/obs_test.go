@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -53,8 +54,12 @@ var expositionLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
 
-	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery}))
-	drainTraced(t, ts.URL, qr.ID)
+	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, ChunkSize: 5}))
+	lines, _ := drainRaw(t, ts.URL, qr.ID)
+	lineBytes := 0
+	for _, l := range lines {
+		lineBytes += len(l)
+	}
 	postJSON(t, ts.URL+"/reach", reachRequest{Query: obsQuery, Mode: "pairs"}).Body.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -138,6 +143,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := samples[`pathalgebra_http_requests_total{endpoint="query"}`]; v != "1" {
 		t.Errorf("http_requests_total{query} = %s, want 1", v)
 	}
+	// Delivered bytes are the path lines' bytes, trailers excluded.
+	if v, want := samples["pathalgebra_delivered_bytes_total"], fmt.Sprint(lineBytes); v != want {
+		t.Errorf("delivered_bytes_total = %s, want %s (client-side path-line bytes)", v, want)
+	}
 }
 
 // spanNames collects the names of a span forest, depth-first.
@@ -148,6 +157,18 @@ func spanNames(spans []*obs.SpanJSON) []string {
 		out = append(out, spanNames(sp.Children)...)
 	}
 	return out
+}
+
+// sumAttr adds up attribute key over the spans named name in a forest.
+func sumAttr(spans []*obs.SpanJSON, name, key string) int64 {
+	var sum int64
+	for _, sp := range spans {
+		if sp.Name == name {
+			sum += sp.Attrs[key]
+		}
+		sum += sumAttr(sp.Children, name, key)
+	}
+	return sum
 }
 
 // checkSpanBounds asserts every child span lies within its parent's
@@ -194,6 +215,21 @@ func TestQueryTrace(t *testing.T) {
 		}
 	}
 	checkSpanBounds(t, root)
+	// The deliver spans account for every path line and its bytes.
+	var lineBytes int64
+	for _, p := range paths {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lineBytes += int64(len(b)) + 1 // the newline
+	}
+	if got := sumAttr(trailer.Trace, "deliver", "paths"); got != int64(len(paths)) {
+		t.Errorf("deliver spans carry %d paths, client read %d", got, len(paths))
+	}
+	if got := sumAttr(trailer.Trace, "deliver", "bytes"); got != lineBytes {
+		t.Errorf("deliver spans carry %d bytes, client read %d", got, lineBytes)
+	}
 
 	// Non-final pages must not carry the trace; only Done pages do.
 	qr2 := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, Trace: true, ChunkSize: 3, NoCache: true}))

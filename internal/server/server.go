@@ -644,7 +644,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	cur.mu.Lock()
 	defer cur.mu.Unlock()
 	cur.touch(time.Now())
-	chunk, err := cur.stream.Next()
+	set, err := cur.stream.Result()
 	if err != nil {
 		// Removal releases the per-query context (timer included); the
 		// evaluation is already finished, so cancel only cleans up.
@@ -654,34 +654,26 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeEvalError(w, err)
 		return
 	}
-	total := cur.stream.Len()
-	returned := 0
-	if chunk != nil {
-		returned = chunk.Len()
-	}
-	cur.delivered += int64(returned)
-	done := cur.stream.Pos() >= total
-	if done {
-		// Exhausted: the cursor is gone after this page (a re-POST of the
-		// same query hits the result cache), and its per-query context —
-		// a deadline timer parented on baseCtx — is released. The epoch
-		// pin is NOT released before this page renders below; Close runs
-		// after the response is written.
-		s.cursors.remove(id)
-		cur.cancel()
-		defer cur.stream.Close()
-	}
-	s.metrics.paths.Add(int64(returned))
-	s.metrics.pages.Inc()
+	// The page is a window of the result set at the cursor's offset.
+	// Nothing advances until the whole page, trailer included, is
+	// written: a severed page leaves the cursor where it was, so a retry
+	// serves the same page again.
+	paths := set.Paths()
+	total := len(paths)
+	page := paths[cur.delivered:min(cur.delivered+cur.chunk, total)]
+	delivered := cur.delivered + len(page)
+	done := delivered == total
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := writePage(w, cur, chunk, returned); err != nil {
+	n, err := writePage(w, cur, page)
+	s.metrics.deliveredBytes.Add(int64(n))
+	if err != nil {
 		return // severed mid-page; no trailer, client retries or DELETEs
 	}
 	trailer := pageTrailer{
 		Done:      done,
-		Returned:  returned,
-		Delivered: cur.delivered,
+		Returned:  len(page),
+		Delivered: int64(delivered),
 		Total:     total,
 	}
 	if done {
@@ -692,7 +684,21 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			trailer.Trace = cur.trace.Tree()
 		}
 	}
-	writeNDJSON(w, trailer)
+	if writeNDJSON(w, trailer) != nil {
+		return // severed at the trailer; the page is served again on retry
+	}
+	cur.delivered = delivered
+	s.metrics.paths.Add(int64(len(page)))
+	s.metrics.pages.Inc()
+	if done {
+		// Exhausted: the cursor is gone after this page (a re-POST of the
+		// same query hits the result cache), its per-query context — a
+		// deadline timer parented on baseCtx — is released, and so is its
+		// epoch pin, now that the page has rendered.
+		s.cursors.remove(id)
+		cur.cancel()
+		cur.stream.Close()
+	}
 }
 
 // handleCancel aborts a query and discards its cursor.

@@ -2,11 +2,13 @@ package server
 
 import (
 	"io"
+	"sync"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
+	"pathalgebra/internal/fault"
 	"pathalgebra/internal/obs"
-	"pathalgebra/internal/pathset"
+	"pathalgebra/internal/path"
 )
 
 // Per-query tracing: ?trace=1 (or "trace": true in the body) builds an
@@ -35,24 +37,64 @@ func tracePlan(root *obs.Span, eng *engine.Engine, logical core.PathExpr) core.P
 	return plan
 }
 
-// writePage writes one page's path lines under a "deliver" span of the
-// cursor's trace (no-op spans when the query is untraced). Paths render
-// with the stream's pinned graph view: the IDs were minted at that
-// epoch, and compaction may have remapped IDs in the current one. A
-// write error severs the page — the caller must NOT write the trailer
-// (a severed page without a trailer is how clients detect the cut).
-func writePage(w io.Writer, cur *cursor, chunk *pathset.Set, returned int) error {
+// pageFlushBytes is the page buffer's flush threshold: writePage hands
+// the buffered lines to the response writer whenever they pass it, so a
+// page of any size up to MaxChunkSize holds about this much memory.
+const pageFlushBytes = 32 << 10
+
+// pageBufs recycles page buffers across requests. A buffer grown past
+// four thresholds (a few very long keys) is dropped rather than pooled.
+var pageBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*pageFlushBytes)
+	return &b
+}}
+
+// writePage renders one page's path lines into a pooled buffer and
+// writes them under a "deliver" span of the cursor's trace (no-op spans
+// when the query is untraced), returning the bytes the writer accepted.
+// Paths render with the stream's pinned graph view: the IDs were minted
+// at that epoch, and compaction may have remapped IDs in the current
+// one. The fault site fires once per line; when it does, the whole lines
+// already buffered are written before the error returns, so a cut page
+// still ends on a line boundary. A write error severs the page — the
+// caller must NOT write the trailer (a severed page without a trailer is
+// how clients detect the cut).
+func writePage(w io.Writer, cur *cursor, page []path.Path) (int, error) {
 	sp := cur.root.Start("deliver")
 	defer sp.End()
-	sp.SetInt("paths", int64(returned))
-	if chunk == nil {
-		return nil
-	}
+	sp.SetInt("paths", int64(len(page)))
+	bp := pageBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
 	g := cur.stream.Graph()
-	for _, p := range chunk.Paths() {
-		if err := writeNDJSON(w, encodePath(g, p)); err != nil {
-			return err
+	written := 0
+	var err error
+	for _, p := range page {
+		if err = fault.Hit("server.write"); err != nil {
+			break
+		}
+		buf = appendPathLine(buf, g, p)
+		if len(buf) < pageFlushBytes {
+			continue
+		}
+		var n int
+		n, err = w.Write(buf)
+		written += n
+		buf = buf[:0]
+		if err != nil {
+			break
 		}
 	}
-	return nil
+	if len(buf) > 0 { // only after a clean loop or a fault: a failed Write empties buf
+		n, werr := w.Write(buf)
+		written += n
+		if err == nil {
+			err = werr
+		}
+	}
+	if cap(buf) <= 4*pageFlushBytes {
+		*bp = buf
+		pageBufs.Put(bp)
+	}
+	sp.SetInt("bytes", int64(written))
+	return written, err
 }

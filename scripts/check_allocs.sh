@@ -52,9 +52,11 @@ echo "check_allocs: plan-cache hit path allocates $hit allocs/op vs $cold cold (
 
 # Streaming gate: chunked delivery (RunStream paged to exhaustion) must
 # stay within a small constant number of extra allocations over the
-# equivalent batch Run — chunks are zero-copy views into the evaluated
-# set, so the only legitimate overhead is the per-chunk set headers and
-# the stream bookkeeping. A breach means chunking started copying paths.
+# equivalent batch Run. Stream.Next builds each chunk as a new set: it
+# copies the chunk's path headers and rebuilds a fingerprint index, but
+# shares the paths' node and edge storage with the evaluated set. So the
+# legitimate overhead is per chunk (headers, index, stream bookkeeping);
+# a breach means chunking started copying path storage.
 STREAM_THRESHOLD=${STREAM_ALLOCS_THRESHOLD:-300}
 
 out=$(go test -run xxx -bench 'BenchmarkStreamDelivery' -benchtime 20x -benchmem . 2>&1)
@@ -154,3 +156,30 @@ if [ "$nilinst" -ne 0 ]; then
     exit 1
 fi
 echo "check_allocs: disabled observability at zero-alloc parity (trace $niltrace, instruments $nilinst allocs/op)"
+
+# Delivery gate: rendering a cursor page (pathalgebrad's GET
+# /query/{id}/next) must cost the same number of allocations whatever the
+# page size, and at most a small constant: the append encoder writes
+# every path line into one pooled page buffer, so allocs/op at 64 and at
+# 1024 paths must be equal. A per-size difference means a per-path
+# allocation (an encoder, a key slice, a boxed value) crept back in.
+PAGE_THRESHOLD=${PAGE_ALLOCS_THRESHOLD:-4}
+
+out=$(go test -run xxx -bench 'BenchmarkPageDelivery' -benchtime 200x -benchmem ./internal/server 2>&1)
+printf '%s\n' "$out"
+
+small=$(printf '%s\n' "$out" | awk '/^BenchmarkPageDelivery\/64/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+large=$(printf '%s\n' "$out" | awk '/^BenchmarkPageDelivery\/1024/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+if [ -z "$small" ] || [ -z "$large" ]; then
+    echo "check_allocs: could not find BenchmarkPageDelivery allocs/op in benchmark output" >&2
+    exit 1
+fi
+if [ "$small" -ne "$large" ]; then
+    echo "check_allocs: page delivery allocates $small allocs/op at 64 paths but $large at 1024 — a per-path allocation is back" >&2
+    exit 1
+fi
+if [ "$large" -gt "$PAGE_THRESHOLD" ]; then
+    echo "check_allocs: page delivery allocates $large allocs/op > threshold $PAGE_THRESHOLD" >&2
+    exit 1
+fi
+echo "check_allocs: page delivery at $large allocs/op for 64 and 1024 paths (threshold $PAGE_THRESHOLD)"
