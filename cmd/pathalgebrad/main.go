@@ -186,6 +186,7 @@ func run(args []string, ready chan<- net.Addr) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
+	//lint:ignore recoverguard net/http recovers handler panics itself; Serve's accept loop is stdlib code
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	select {
@@ -200,6 +201,7 @@ func run(args []string, ready chan<- net.Addr) error {
 	log.Printf("pathalgebrad: draining (grace %s)", *drainTimeout)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
+	//lint:ignore recoverguard only calls svc.Close, which the lines below call unguarded too: the daemon is exiting either way
 	go func() {
 		<-shutdownCtx.Done()
 		svc.Close()

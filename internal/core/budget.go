@@ -135,6 +135,7 @@ func (b *Budget) Watch(ctx context.Context) (stop func()) {
 		return func() {}
 	}
 	stopped := make(chan struct{})
+	//lint:ignore recoverguard the body is a select and Cancel's atomic stores: nothing in it can panic
 	go func() {
 		select {
 		case <-ctx.Done():

@@ -96,7 +96,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 				case 2: // plan-cache hit + stats snapshot
 					shared.Plan(plan)
 					_ = shared.Stats()
-				case 3: // explain (evaluates every subtree)
+				case 3: // explain (one traced evaluation)
 					ex, err := shared.Explain(plan)
 					if err != nil {
 						errs <- fmt.Errorf("worker %d Explain: %w", w, err)

@@ -7,14 +7,16 @@
 // evaluation runs under an explicit recursion budget. Engine.Run plans
 // through the cost-based planner (internal/opt) and an LRU plan cache;
 // Engine.Explain reports the chosen plan with estimated vs. actual
-// per-operator cardinalities. The randomized differential harness
-// cross-checks every route against the reference implementations.
+// per-operator cardinalities from the operator spans of one traced run.
+// The randomized differential harness cross-checks every route against
+// the reference implementations.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -309,9 +311,6 @@ func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, err
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
 	out, err := b.evalPathsCtx(obs.WithSpan(ctx, sp), plan)
-	if out != nil {
-		sp.SetInt("paths", int64(out.Len()))
-	}
 	e.noteEvalErr(err)
 	return out, err
 }
@@ -422,10 +421,24 @@ func (e *Engine) EvalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 }
 
 // evalPathsCtx is the recursive evaluator body, always running on a
-// bound (or static) engine.
-func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
+// bound (or static) engine. Under a trace each operator it evaluates
+// gets a span named by its explain label, annotated with the estimated
+// (est) and actual (paths) output size.
+func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (out *pathset.Set, err error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
+	}
+	if parent := obs.SpanFrom(ctx); parent != nil {
+		label, est, _ := e.opInfo(x)
+		sp := parent.Start(label)
+		defer func() {
+			if out != nil {
+				sp.SetInt("paths", int64(out.Len()))
+			}
+			sp.End()
+		}()
+		sp.SetInt("est", int64(math.Round(est)))
+		ctx = obs.WithSpan(ctx, sp)
 	}
 	switch x := x.(type) {
 	case core.Nodes:
@@ -518,9 +531,22 @@ func (e *Engine) EvalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.Solu
 }
 
 // evalSpaceCtx is the recursive space-evaluator body on a bound engine.
-func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.SolutionSpace, error) {
+// Under a trace it opens operator spans exactly like evalPathsCtx.
+func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr) (out *core.SolutionSpace, err error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
+	}
+	if parent := obs.SpanFrom(ctx); parent != nil {
+		label, est, _ := e.opInfo(x)
+		sp := parent.Start(label)
+		defer func() {
+			if out != nil {
+				sp.SetInt("paths", int64(out.NumPaths()))
+			}
+			sp.End()
+		}()
+		sp.SetInt("est", int64(math.Round(est)))
+		ctx = obs.WithSpan(ctx, sp)
 	}
 	switch x := x.(type) {
 	case core.GroupBy:

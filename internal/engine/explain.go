@@ -3,19 +3,23 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/obs"
 	"pathalgebra/internal/pathset"
 )
 
 // ExplainLine is one operator of an explained plan with its estimated and
-// actual output cardinality.
+// actual output cardinality. Fused marks an operator the run answered
+// inside its parent, producing no output of its own (Actual is 0).
 type ExplainLine struct {
 	Depth  int
 	Op     string
 	Est    float64
 	Actual int
+	Fused  bool
 }
 
 // Explain is the result of Engine.Explain: the chosen physical plan, the
@@ -34,18 +38,18 @@ type Explain struct {
 	Result   *pathset.Set
 }
 
-// Explain plans x like Run and then evaluates every operator of the
-// chosen plan, recording its estimated and actual cardinality. Each
-// subtree is evaluated independently (the engine memoizes nothing across
-// operators), so Explain costs O(depth) times the plain evaluation —
-// a diagnostic tool, not an execution mode.
+// Explain plans x like Run, evaluates the chosen plan once under a trace
+// span, and annotates the plan tree from the operator spans of that one
+// run: each row's actual is the output size of the operator as it ran.
+// It does the work of one Run plus the bookkeeping of a traced one.
 func (e *Engine) Explain(x core.PathExpr) (*Explain, error) {
 	return e.ExplainCtx(context.Background(), x)
 }
 
 // ExplainCtx is Explain under cooperative cancellation (see RunCtx). On
-// a live engine the whole explanation — planning, estimates and every
-// operator evaluation — runs against one pinned epoch.
+// a live engine planning, estimates and the evaluation all run against
+// one pinned epoch. When ctx carries a trace span, the evaluation's
+// spans join that trace; otherwise Explain traces into a private one.
 func (e *Engine) ExplainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
 	b, release := e.pin()
 	defer release()
@@ -56,111 +60,94 @@ func (e *Engine) ExplainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 
 func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
 	plan, applied, hit := e.plan(x)
+	sp := obs.SpanFrom(ctx).Start("eval")
+	if sp == nil {
+		sp = obs.NewTrace().Start("eval")
+	}
+	defer sp.End()
+	sp.SetInt("epoch", int64(e.epoch))
+	out, err := e.evalPathsCtx(obs.WithSpan(ctx, sp), plan)
+	if err != nil {
+		return nil, err
+	}
 	ex := &Explain{
 		Plan:     plan,
 		Applied:  applied,
 		CacheHit: hit,
 		Kernel:   e.reachRoute(plan),
+		Result:   out,
 	}
-	out, err := e.explainPath(ctx, plan, 0, ex)
-	if err != nil {
-		return nil, err
-	}
-	ex.Result = out
+	ex.addLines(e, plan, opChildren(sp.Tree())[0], 0)
 	return ex, nil
 }
 
-func (e *Engine) explainPath(ctx context.Context, x core.PathExpr, depth int, ex *Explain) (*pathset.Set, error) {
-	out, err := e.evalPathsCtx(ctx, x)
-	if err != nil {
-		return nil, err
+// addLines appends the rows of operator x and its operands. sp is the
+// span x ran under, or nil when the run fused x into an ancestor.
+// Operands are evaluated left to right, so x's evaluated operands match
+// sp's operator children in start order; an operator whose operands
+// were fused has none.
+func (ex *Explain) addLines(e *Engine, x any, sp *obs.SpanJSON, depth int) {
+	op, est, operands := e.opInfo(x)
+	line := ExplainLine{Depth: depth, Op: op, Est: est, Fused: sp == nil}
+	var ran []*obs.SpanJSON
+	if sp != nil {
+		line.Actual = int(sp.Attrs["paths"])
+		ran = opChildren(sp)
 	}
-	ex.Lines = append(ex.Lines, ExplainLine{
-		Depth: depth, Op: opLabel(x), Est: e.cm.Card(x), Actual: out.Len(),
-	})
-	var children []core.PathExpr
-	switch x := x.(type) {
-	case core.Select:
-		children = []core.PathExpr{x.In}
-	case core.Join:
-		children = []core.PathExpr{x.L, x.R}
-	case core.Union:
-		children = []core.PathExpr{x.L, x.R}
-	case core.Recurse:
-		children = []core.PathExpr{x.In}
-	case core.Restrict:
-		children = []core.PathExpr{x.In}
-	case core.Project:
-		if err := e.explainSpace(ctx, x.In, depth+1, ex); err != nil {
-			return nil, err
+	ex.Lines = append(ex.Lines, line)
+	for i, c := range operands {
+		var csp *obs.SpanJSON
+		if i < len(ran) {
+			csp = ran[i]
 		}
+		ex.addLines(e, c, csp, depth+1)
 	}
-	for _, c := range children {
-		if _, err := e.explainPath(ctx, c, depth+1, ex); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
-func (e *Engine) explainSpace(ctx context.Context, x core.SpaceExpr, depth int, ex *Explain) error {
-	ss, err := e.evalSpaceCtx(ctx, x)
-	if err != nil {
-		return err
+// opChildren lists sp's operator spans, the children carrying an
+// estimate (the product search's spans carry none).
+func opChildren(sp *obs.SpanJSON) []*obs.SpanJSON {
+	var ops []*obs.SpanJSON
+	for _, c := range sp.Children {
+		if _, ok := c.Attrs["est"]; ok {
+			ops = append(ops, c)
+		}
 	}
-	var op string
-	var inner core.SpaceExpr
-	var pathIn core.PathExpr
-	switch x := x.(type) {
-	case core.GroupBy:
-		op = fmt.Sprintf("γ%s", x.Key)
-		pathIn = x.In
-	case core.OrderBy:
-		op = fmt.Sprintf("τ%s", x.Key)
-		inner = x.In
-	default:
-		op = fmt.Sprintf("%T", x)
-	}
-	var est float64
-	if g, ok := core.BottomGroupBy(x); ok {
-		est = e.cm.Card(g.In)
-	}
-	ex.Lines = append(ex.Lines, ExplainLine{Depth: depth, Op: op, Est: est, Actual: ss.NumPaths()})
-	if inner != nil {
-		return e.explainSpace(ctx, inner, depth+1, ex)
-	}
-	if pathIn != nil {
-		_, err := e.explainPath(ctx, pathIn, depth+1, ex)
-		return err
-	}
-	return nil
+	return ops
 }
 
-// opLabel is the one-line operator label of an explain row — the node's
-// own operator without its subtree.
-func opLabel(x core.PathExpr) string {
+// opInfo describes one plan operator, path- or space-sorted: its
+// one-line label without the subtree, the cost model's estimate of its
+// output size, and its operands in evaluation order.
+func (e *Engine) opInfo(x any) (string, float64, []any) {
 	switch x := x.(type) {
 	case core.Nodes:
-		return "Nodes(G)"
+		return "Nodes(G)", e.cm.Card(x), nil
 	case core.Edges:
-		return "Edges(G)"
+		return "Edges(G)", e.cm.Card(x), nil
 	case core.Select:
-		return fmt.Sprintf("σ[%s]", x.Cond)
+		return fmt.Sprintf("σ[%s]", x.Cond), e.cm.Card(x), []any{x.In}
 	case core.Join:
-		return "⋈"
+		return "⋈", e.cm.Card(x), []any{x.L, x.R}
 	case core.Union:
-		return "∪"
+		return "∪", e.cm.Card(x), []any{x.L, x.R}
 	case core.Recurse:
+		op := fmt.Sprintf("ϕ%s", x.Sem)
 		if x.Dir == core.Backward {
-			return fmt.Sprintf("ϕ%s←", x.Sem)
+			op += "←"
 		}
-		return fmt.Sprintf("ϕ%s", x.Sem)
+		return op, e.cm.Card(x), []any{x.In}
 	case core.Restrict:
-		return fmt.Sprintf("ρ%s", x.Sem)
+		return fmt.Sprintf("ρ%s", x.Sem), e.cm.Card(x), []any{x.In}
 	case core.Project:
-		return fmt.Sprintf("π(%s,%s,%s)", x.Parts, x.Groups, x.Paths)
+		return fmt.Sprintf("π(%s,%s,%s)", x.Parts, x.Groups, x.Paths), e.cm.Card(x), []any{x.In}
+	case core.GroupBy:
+		return fmt.Sprintf("γ%s", x.Key), e.cm.Card(x.In), []any{x.In}
+	case core.OrderBy:
+		_, est, _ := e.opInfo(x.In) // ordering keeps its input's size
+		return fmt.Sprintf("τ%s", x.Key), est, []any{x.In}
 	default:
-		return fmt.Sprintf("%T", x)
+		return fmt.Sprintf("%T", x), 0, nil
 	}
 }
 
@@ -180,8 +167,11 @@ func (ex *Explain) Format() string {
 	sb.WriteString("operators (estimated vs actual):\n")
 	for _, l := range ex.Lines {
 		indent := strings.Repeat("  ", l.Depth)
-		op := indent + l.Op
-		fmt.Fprintf(&sb, "  %-44s est=%-12s actual=%d\n", op, fmtEst(l.Est), l.Actual)
+		actual := "fused"
+		if !l.Fused {
+			actual = strconv.Itoa(l.Actual)
+		}
+		fmt.Fprintf(&sb, "  %-44s est=%-12s actual=%s\n", indent+l.Op, fmtEst(l.Est), actual)
 	}
 	return sb.String()
 }

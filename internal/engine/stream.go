@@ -99,9 +99,6 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 			}
 		}()
 		s.set, s.err = b.evalPathsCtx(evalCtx, plan)
-		if s.set != nil {
-			sp.SetInt("paths", int64(s.set.Len()))
-		}
 		e.noteEvalErr(s.err)
 	}()
 	return s

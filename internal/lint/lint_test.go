@@ -81,7 +81,14 @@ type wantKey struct {
 // checks the diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, pkgPath string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgPath))
+	runFixtureAs(t, a, pkgPath, pkgPath)
+}
+
+// runFixtureAs is runFixture on the fixture in testdata/src/<fixture>,
+// type-checked as package pkgPath.
+func runFixtureAs(t *testing.T, a *Analyzer, fixture, pkgPath string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", filepath.FromSlash(fixture))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
@@ -189,15 +196,13 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestRecoverGuardScope pins the packages under the panic-isolation
-// mandate: every package that launches evaluation or service goroutines.
+// TestRecoverGuardScope pins the panic-isolation mandate to every
+// package, commands and libraries alike: the fixture yields the same
+// findings whatever package path it is checked under.
 func TestRecoverGuardScope(t *testing.T) {
-	for _, pkg := range []string{"automaton", "engine", "graph", "reach", "server"} {
-		if !recoverScopeRe.MatchString("pathalgebra/internal/" + pkg) {
-			t.Errorf("recoverguard does not cover internal/%s", pkg)
-		}
-	}
-	if recoverScopeRe.MatchString("pathalgebra/internal/opt") {
-		t.Error("recoverguard covers internal/opt, which launches no goroutines")
+	for _, pkgPath := range []string{
+		"pathalgebra", "pathalgebra/cmd/pathalgebrad", "pathalgebra/internal/core", "pathalgebra/internal/opt",
+	} {
+		t.Run(pkgPath, func(t *testing.T) { runFixtureAs(t, RecoverGuard, "recoverguard/server", pkgPath) })
 	}
 }

@@ -3,13 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
 )
 
-// RecoverGuard checks the panic-isolation discipline in the packages
-// that own long-lived or request-scoped goroutines: every `go` statement
-// must install a recover handler, or the goroutine turns any panic into
-// a process crash that no server-side isolation can catch.
+// RecoverGuard checks the panic-isolation discipline in every package it
+// analyzes (test files excepted, like every analyzer in the suite): every
+// `go` statement must install a recover handler, or the goroutine turns
+// any panic into a process crash that no server-side isolation can catch.
 //
 // A goroutine counts as guarded when its body — the launched func
 // literal, or the same-package function/method it calls — contains a
@@ -33,20 +32,12 @@ import (
 //	//lint:ignore recoverguard <why a panic here is acceptable>
 var RecoverGuard = &Analyzer{
 	Name: "recoverguard",
-	Doc: "every goroutine launched in internal/automaton, internal/engine, internal/graph, " +
-		"internal/reach and internal/server " +
-		"must install a recover handler (a defer calling recover() directly), or carry a " +
-		"//lint:ignore recoverguard suppression with a reason",
+	Doc: "every goroutine must install a recover handler (a defer calling recover() directly), " +
+		"or carry a //lint:ignore recoverguard suppression with a reason",
 	Run: runRecoverGuard,
 }
 
-// recoverScopeRe selects the packages under the panic-isolation mandate.
-var recoverScopeRe = regexp.MustCompile(`(^|/)(automaton|engine|graph|reach|server)$`)
-
 func runRecoverGuard(pass *Pass) error {
-	if pass.Pkg == nil || !recoverScopeRe.MatchString(pass.Pkg.Path()) {
-		return nil
-	}
 	decls := packageFuncDecls(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -1,6 +1,5 @@
-// Package server is the recoverguard fixture: its path ends in a
-// scoped package name, so every goroutine here must install a recover
-// handler.
+// Package server is the recoverguard fixture: every goroutine here must
+// install a recover handler.
 package server
 
 func work() {}

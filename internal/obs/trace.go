@@ -155,12 +155,31 @@ func (t *Trace) Tree() []*SpanJSON {
 	if t == nil {
 		return nil
 	}
+	return t.tree(nil)
+}
+
+// Tree renders the subtree rooted at s the way Trace.Tree renders the
+// whole trace. Nil-safe (returns nil).
+func (s *Span) Tree() *SpanJSON {
+	if s == nil {
+		return nil
+	}
+	return s.tr.tree(s)[0]
+}
+
+// tree renders the spans under root (every span when root is nil) as a
+// forest in span start order.
+func (t *Trace) tree(root *Span) []*SpanJSON {
 	now := int64(time.Since(t.start))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	nodes := make(map[*Span]*SpanJSON, len(t.spans))
 	var roots []*SpanJSON
 	for _, s := range t.spans {
+		p := nodes[s.parent]
+		if root != nil && s != root && p == nil {
+			continue
+		}
 		end := s.end
 		if end == 0 {
 			end = now
@@ -168,7 +187,8 @@ func (t *Trace) Tree() []*SpanJSON {
 		j := &SpanJSON{
 			Name:    s.name,
 			StartUS: s.start / 1e3,
-			DurUS:   (end - s.start) / 1e3,
+			// Truncating both ends keeps children inside their parent.
+			DurUS: end/1e3 - s.start/1e3,
 		}
 		if len(s.attrs) > 0 {
 			j.Attrs = make(map[string]int64, len(s.attrs))
@@ -177,7 +197,7 @@ func (t *Trace) Tree() []*SpanJSON {
 			}
 		}
 		nodes[s] = j
-		if p := nodes[s.parent]; p != nil {
+		if p != nil {
 			p.Children = append(p.Children, j)
 		} else {
 			roots = append(roots, j)

@@ -3,12 +3,13 @@
 // consumes and produces values of this type (the algebra is closed under
 // sets of paths, §3), which is what gives the algebra composability.
 //
-// Duplicate elimination is fingerprint-based: the index maps each path's
-// 64-bit structural hash (path.Fingerprint) to the slice positions of the
-// paths bearing it, and membership falls back to exact path.Equal inside a
-// bucket, so hash collisions cost a comparison but never an answer. No key
-// strings are materialized. Fallback activations are counted process-wide
-// (Collisions) so the collision path stays observable.
+// Duplicate elimination is fingerprint-based: an open-addressing index
+// probes from each path's 64-bit structural hash (path.Fingerprint) over
+// the slice positions of the paths, and membership falls back to exact
+// path.Equal among paths sharing a fingerprint, so hash collisions cost a
+// comparison but never an answer. No key strings are materialized.
+// Fallback activations are counted process-wide (Collisions) so the
+// collision path stays observable.
 //
 // Iteration order is insertion order, so evaluation is deterministic; Sort
 // re-orders into the canonical (length, sequence) order used for output.
@@ -37,13 +38,11 @@ func Collisions() int64 { return collisionCount.Load() }
 // empty and ready to use, but New pre-sizes the index.
 type Set struct {
 	paths []path.Path
-	// index maps a fingerprint to the position in paths of the first path
-	// bearing it. Values live inline in the map, so the collision-free
-	// common case does no per-entry allocation.
-	index map[uint64]int32
-	// overflow holds the positions of further paths sharing a fingerprint
-	// already in index. It stays nil until the first collision.
-	overflow map[uint64][]int32
+	// index is a linear-probing table of positions in paths (position+1;
+	// 0 is empty), probed from a fingerprint's low bits and at most 3/4
+	// full. It has no per-process hash seed, unlike a Go map, so the
+	// allocations growing it depend only on the paths added.
+	index []int32
 	// slab backs the storage of paths materialized out of an arena by
 	// AddArena, so admitting k paths costs O(k·L/block) allocations
 	// instead of two slices per path. Paths in the set alias it; it is
@@ -55,8 +54,44 @@ type Set struct {
 func New(n int) *Set {
 	return &Set{
 		paths: make([]path.Path, 0, n),
-		index: make(map[uint64]int32, n),
+		index: make([]int32, indexSize(n)),
 	}
+}
+
+// indexSize is the index length that holds n paths at most 3/4 full.
+func indexSize(n int) int {
+	size := 8
+	for 3*size < 4*n {
+		size *= 2
+	}
+	return size
+}
+
+// admit is the insert step of Add and its arena variants. It reports
+// false if eq accepts an indexed path bearing fingerprint fp (given its
+// position); otherwise it indexes the path about to be appended at
+// position len(s.paths) and reports true. Fingerprint matches that eq
+// rejects count as collisions.
+func (s *Set) admit(fp uint64, eq func(j int32) bool) bool {
+	if 4*(len(s.paths)+1) > 3*len(s.index) {
+		s.reindex()
+	}
+	collided := false
+	mask := len(s.index) - 1
+	i := int(fp) & mask
+	for ; s.index[i] != 0; i = (i + 1) & mask {
+		if j := s.index[i] - 1; s.paths[j].Fingerprint() == fp {
+			if eq(j) {
+				return false
+			}
+			collided = true
+		}
+	}
+	if collided {
+		collisionCount.Add(1)
+	}
+	s.index[i] = int32(len(s.paths)) + 1
+	return true
 }
 
 // FromPaths builds a set from the given paths, dropping duplicates.
@@ -74,27 +109,8 @@ func (s *Set) Len() int { return len(s.paths) }
 // Add inserts p unless an equal path is present. It reports whether the
 // path was newly inserted.
 func (s *Set) Add(p path.Path) bool {
-	if s.index == nil {
-		s.index = make(map[uint64]int32)
-	}
-	fp := p.Fingerprint()
-	pos := int32(len(s.paths))
-	if i, taken := s.index[fp]; taken {
-		if s.paths[i].Equal(p) {
-			return false
-		}
-		for _, j := range s.overflow[fp] {
-			if s.paths[j].Equal(p) {
-				return false
-			}
-		}
-		collisionCount.Add(1)
-		if s.overflow == nil {
-			s.overflow = make(map[uint64][]int32)
-		}
-		s.overflow[fp] = append(s.overflow[fp], pos)
-	} else {
-		s.index[fp] = pos
+	if !s.admit(p.Fingerprint(), func(j int32) bool { return s.paths[j].Equal(p) }) {
+		return false
 	}
 	s.paths = append(s.paths, p)
 	return true
@@ -107,27 +123,8 @@ func (s *Set) Add(p path.Path) bool {
 // bucket — so the evaluation hot loops pay slice allocations exactly once
 // per admitted result path and never for duplicates.
 func (s *Set) AddArena(a *path.Arena, r path.Ref) bool {
-	if s.index == nil {
-		s.index = make(map[uint64]int32)
-	}
-	fp := a.Fingerprint(r)
-	pos := int32(len(s.paths))
-	if i, taken := s.index[fp]; taken {
-		if a.EqualPath(r, s.paths[i]) {
-			return false
-		}
-		for _, j := range s.overflow[fp] {
-			if a.EqualPath(r, s.paths[j]) {
-				return false
-			}
-		}
-		collisionCount.Add(1)
-		if s.overflow == nil {
-			s.overflow = make(map[uint64][]int32)
-		}
-		s.overflow[fp] = append(s.overflow[fp], pos)
-	} else {
-		s.index[fp] = pos
+	if !s.admit(a.Fingerprint(r), func(j int32) bool { return a.EqualPath(r, s.paths[j]) }) {
+		return false
 	}
 	s.paths = append(s.paths, a.PathSlab(r, &s.slab))
 	return true
@@ -140,27 +137,9 @@ func (s *Set) AddArena(a *path.Arena, r path.Ref) bool {
 // path both use the canonical forward fingerprint, so sets filled this
 // way are indistinguishable from forward-filled ones.
 func (s *Set) AddArenaReversed(a *path.Arena, r path.Ref) bool {
-	if s.index == nil {
-		s.index = make(map[uint64]int32)
-	}
 	fp := a.ReversedFingerprint(r)
-	pos := int32(len(s.paths))
-	if i, taken := s.index[fp]; taken {
-		if a.ReversedEqualPath(r, s.paths[i]) {
-			return false
-		}
-		for _, j := range s.overflow[fp] {
-			if a.ReversedEqualPath(r, s.paths[j]) {
-				return false
-			}
-		}
-		collisionCount.Add(1)
-		if s.overflow == nil {
-			s.overflow = make(map[uint64][]int32)
-		}
-		s.overflow[fp] = append(s.overflow[fp], pos)
-	} else {
-		s.index[fp] = pos
+	if !s.admit(fp, func(j int32) bool { return a.ReversedEqualPath(r, s.paths[j]) }) {
+		return false
 	}
 	s.paths = append(s.paths, a.ReversedPathSlab(r, &s.slab, fp))
 	return true
@@ -168,16 +147,13 @@ func (s *Set) AddArenaReversed(a *path.Arena, r path.Ref) bool {
 
 // Contains reports whether an equal path is in the set.
 func (s *Set) Contains(p path.Path) bool {
-	fp := p.Fingerprint()
-	i, taken := s.index[fp]
-	if !taken {
+	if len(s.index) == 0 {
 		return false
 	}
-	if s.paths[i].Equal(p) {
-		return true
-	}
-	for _, j := range s.overflow[fp] {
-		if s.paths[j].Equal(p) {
+	fp := p.Fingerprint()
+	mask := len(s.index) - 1
+	for i := int(fp) & mask; s.index[i] != 0; i = (i + 1) & mask {
+		if q := s.paths[s.index[i]-1]; q.Fingerprint() == fp && q.Equal(p) {
 			return true
 		}
 	}
@@ -199,13 +175,12 @@ func (s *Set) AddAll(t *Set) {
 }
 
 // Reset empties the set while keeping its allocated storage (the paths
-// slice and the fingerprint index map), so hot loops — e.g. the per-source
+// slice and the fingerprint index), so hot loops — e.g. the per-source
 // visited sets of the sharded product search — reuse one set per worker
 // instead of reallocating per source.
 func (s *Set) Reset() {
 	s.paths = s.paths[:0]
 	clear(s.index)
-	s.overflow = nil
 	// The slab is dropped, not truncated: previously returned paths may
 	// still alias its blocks.
 	s.slab = path.Slab{}
@@ -301,22 +276,18 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
-// reindex rebuilds the fingerprint index from the paths slice, which is
-// assumed duplicate-free already (so no collision accounting here: any
-// shared-fingerprint bucket was counted when it first formed).
+// reindex rebuilds the fingerprint index from the paths slice, sized for
+// one more path. The paths are duplicate-free already, so nothing here
+// counts as a collision.
 func (s *Set) reindex() {
-	s.index = make(map[uint64]int32, len(s.paths))
-	s.overflow = nil
-	for i, p := range s.paths {
-		fp := p.Fingerprint()
-		if _, taken := s.index[fp]; taken {
-			if s.overflow == nil {
-				s.overflow = make(map[uint64][]int32)
-			}
-			s.overflow[fp] = append(s.overflow[fp], int32(i))
-		} else {
-			s.index[fp] = int32(i)
+	s.index = make([]int32, indexSize(len(s.paths)+1))
+	mask := len(s.index) - 1
+	for j, p := range s.paths {
+		i := int(p.Fingerprint()) & mask
+		for s.index[i] != 0 {
+			i = (i + 1) & mask
 		}
+		s.index[i] = int32(j) + 1
 	}
 }
 

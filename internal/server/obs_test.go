@@ -171,6 +171,19 @@ func sumAttr(spans []*obs.SpanJSON, name, key string) int64 {
 	return sum
 }
 
+// findSpan returns the first span named name in a forest, depth first.
+func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
+	for _, sp := range spans {
+		if sp.Name == name {
+			return sp
+		}
+		if c := findSpan(sp.Children, name); c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
 // checkSpanBounds asserts every child span lies within its parent's
 // [start, start+dur] window (at microsecond rounding tolerance).
 func checkSpanBounds(t *testing.T, sp *obs.SpanJSON) {
@@ -215,6 +228,24 @@ func TestQueryTrace(t *testing.T) {
 		}
 	}
 	checkSpanBounds(t, root)
+	// The eval span's children are operator spans annotated with the
+	// estimate and the actual size; the root operator's actual is the
+	// delivered answer.
+	eval := findSpan(trailer.Trace, "eval")
+	if eval == nil || len(eval.Children) == 0 {
+		t.Fatalf("eval span has no operator children: %+v", eval)
+	}
+	for _, op := range eval.Children {
+		if _, ok := op.Attrs["est"]; !ok {
+			t.Errorf("operator span %q has no est (attrs %v)", op.Name, op.Attrs)
+		}
+		if _, ok := op.Attrs["paths"]; !ok {
+			t.Errorf("operator span %q has no paths (attrs %v)", op.Name, op.Attrs)
+		}
+	}
+	if got := eval.Children[0].Attrs["paths"]; got != int64(len(paths)) {
+		t.Errorf("root operator %q produced %d paths, client read %d", eval.Children[0].Name, got, len(paths))
+	}
 	// The deliver spans account for every path line and its bytes.
 	var lineBytes int64
 	for _, p := range paths {

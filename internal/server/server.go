@@ -819,10 +819,10 @@ type explainResponse struct {
 	Text     string   `json:"text"`
 }
 
-// handleExplain plans and evaluates the query, reporting the chosen plan
-// with estimated vs. actual per-operator cardinalities. Explain
-// evaluates each subtree independently (a diagnostic, not an execution
-// mode), so it runs under the same admission control as queries.
+// handleExplain plans and evaluates the query once, reporting the chosen
+// plan with estimated vs. actual per-operator cardinalities taken from
+// that run. It costs a query's evaluation, so it runs under the same
+// admission control as queries.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r)
 	if err != nil {

@@ -146,8 +146,8 @@ type EngineOptions = engine.Options
 
 // Engine executes logical plans against a graph. Engine.Run plans through
 // the cost-based planner and LRU plan cache; Engine.EvalPaths executes a
-// plan exactly as given; Engine.Explain reports the chosen plan with
-// estimated vs. actual per-operator cardinalities.
+// plan exactly as given; Engine.Explain runs the chosen plan once and
+// reports per-operator estimated vs. actual cardinalities from that run.
 type Engine = engine.Engine
 
 // Explain is the result of Engine.Explain.

@@ -6,7 +6,7 @@
 # The threshold is allocation *count*, which is stable across hosts and
 # CPU speeds (unlike ns/op), so this is safe to enforce in CI: the
 # copy-free path core (prefix-sharing arena + slab materialization) keeps
-# Walk at ~1.6k allocs/op; the pre-arena representation sat at ~11.6k.
+# Walk at ~1.4k allocs/op; the pre-arena representation sat at ~11.6k.
 # A breach means per-candidate copying or per-classify map building crept
 # back into the product search.
 set -eu
@@ -78,7 +78,9 @@ echo "check_allocs: streaming delivery allocates $extra allocs/op over batch ($s
 # Live-store gate: a store whose delta is empty (post-compaction, ov ==
 # nil) must evaluate with EXACTLY the allocation profile of a from-scratch
 # sealed CSR — the overlay is a nil-check on the read path, nothing more.
-# Any drift means epoch plumbing started taxing sealed reads.
+# Any drift means epoch plumbing started taxing sealed reads. The count
+# is the same on every run: the benchmark evaluates on one worker with
+# GC off in its loop, and pathset's fingerprint index has no hash seed.
 out=$(go test -run xxx -bench 'BenchmarkSnapshotOverlayRead/(sealed|empty-delta)' -benchtime 5x -benchmem . 2>&1)
 printf '%s\n' "$out"
 
